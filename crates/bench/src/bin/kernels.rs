@@ -278,14 +278,15 @@ fn main() {
     }
 
     // --- rsp_kernel: pluggable FPTAS backends, kernel axis ---------------
-    // The classic kernel always sweeps its full ~4(n+1)/ε scaled budget;
-    // the interval kernel brackets OPT with cheap coarse-ε tests first and
-    // sweeps only a narrow window, with early exit at the first feasible
-    // level. Their paths may legitimately differ (each certifies its own
-    // answer), so the variants are NOT checksum-compared; instead every
-    // kernel's answer is cross-validated against the exact DP: feasibility
-    // must agree, `delay ≤ D`, and `cost ≤ (1+ε)·OPT`. ε = 1/16 is the
-    // small-ε regime the interval scheme targets.
+    // Both kernels stop every DP at the first delay-feasible level; the
+    // classic kernel's final DP scales against a ~4(n+1)/ε budget range,
+    // while the interval kernel brackets OPT with cheap coarse-ε tests first
+    // and scales against a narrow window. Their paths may legitimately
+    // differ (each certifies its own answer), so the variants are NOT
+    // checksum-compared; instead every kernel's answer is cross-validated
+    // against the exact DP: feasibility must agree, `delay ≤ D`, and
+    // `cost ≤ (1+ε)·OPT`. ε = 1/16 is the small-ε regime the interval
+    // scheme targets.
     let (eps_num, eps_den) = (1u32, 16u32);
     for (label, inst) in &grid {
         let g = &inst.graph;

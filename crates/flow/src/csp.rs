@@ -28,7 +28,22 @@
 //!   Dijkstra pass is skipped outright when no zero-budget edge exists and
 //!   otherwise seeds its heap only with nodes that can propagate;
 //! * every buffer lives in a caller-owned [`DpScratch`], so the bisection
-//!   loop — and repeated solves above it — reuse one allocation.
+//!   loop — and repeated solves above it — reuse one allocation (the
+//!   service's `k = 1` ladder arm keeps one per worker thread).
+//!
+//! ## One sweep, stopped early where an answer is all that is asked
+//!
+//! Every DP run goes through one sweep, `dp_sweep`, parameterized by a
+//! monomorphized stop predicate over the row just computed. The exact DP
+//! and the batch plane pass one that never fires (it compiles away); every
+//! FPTAS probe — the classic shrink tests and final DP, the interval
+//! tests — stops at the first level whose value at `t` is within the delay
+//! bound. Level `b` depends only on levels `≤ b`, so that level and the
+//! parent chain behind it are exactly what a full sweep plus a bottom-up
+//! scan finds: stopping changes no answer. Table rows are materialized
+//! only as their levels are computed (the carry-over copy *is* the row's
+//! initialization), so a stopped sweep never touches the rows above its
+//! answer.
 //!
 //! The pre-rewrite kernel is preserved in [`crate::reference`] and the test
 //! suite pins this one to it bit-for-bit (values, tie-breaking, recovered
@@ -97,10 +112,12 @@ struct ZeroEdge {
 /// within-level heap. Create one per solving context and thread it through
 /// repeated [`constrained_shortest_path_with`] / [`rsp_fptas_with`] calls:
 /// after warm-up, the kernel allocates nothing. A single scratch adapts to
-/// any graph/bound size (buffers grow monotonically, capacity is retained).
+/// any graph/bound size (buffers grow monotonically, capacity is retained;
+/// see [`DpScratch::table_bytes`] for what that retains).
 #[derive(Default)]
 pub struct DpScratch {
-    /// Flat `(bound+1) × n` value table, row-major by level.
+    /// Flat value table, row-major by level: one `n`-wide row per level
+    /// computed so far (at most `bound+1`).
     value: Vec<i64>,
     /// Parent edge id per `(level, node)`; `NO_PARENT` = none.
     par_edge: Vec<u32>,
@@ -150,6 +167,15 @@ impl DpScratch {
     #[must_use]
     pub fn cancel(&self) -> &CancelToken {
         &self.cancel
+    }
+
+    /// Bytes of capacity the value and parent tables retain. They grow
+    /// with the largest `levels × n` any run has computed, so a long-lived
+    /// arena can use this to drop tables one outsized solve left behind.
+    #[must_use]
+    pub fn table_bytes(&self) -> usize {
+        self.value.capacity() * std::mem::size_of::<i64>()
+            + (self.par_edge.capacity() + self.par_level.capacity()) * std::mem::size_of::<u32>()
     }
 
     #[inline]
@@ -434,19 +460,44 @@ impl TopoDigest {
     }
 }
 
+/// How a [`dp_sweep`] ended.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum SweepOutcome {
+    /// The stop predicate held at this level; no level above it was
+    /// computed.
+    Found(usize),
+    /// Every level was computed and the stop predicate never held.
+    Exhausted,
+    /// The scratch's [`CancelToken`] tripped mid-run (the table is partial
+    /// and must not be read).
+    Cancelled,
+}
+
+/// Stop predicate of the sweeps that need every level (the exact DP and
+/// the batch plane): never fires, so the check monomorphizes away.
+fn full_sweep(_row: &[i64]) -> bool {
+    false
+}
+
+/// Stop predicate of the FPTAS probes: the first level at which `t` is
+/// reachable with value at most `feas_bound`.
+fn reaches(t: NodeId, feas_bound: i64) -> impl Fn(&[i64]) -> bool {
+    move |row| {
+        let v = row[t.index()];
+        v != UNREACHED && v <= feas_bound
+    }
+}
+
 /// Budgeted DP over the scratch arena: `value[b][v]` = minimum `objective`
-/// over `s→v` walks with `Σ budget ≤ b`, for `b = 0..=bound`. Zero-budget
-/// edges are handled with a per-level Dijkstra pass over the zero-edge CSR
+/// over `s→v` walks with `Σ budget ≤ b`, for `b = 0..=bound`, stopping at
+/// the first level whose row satisfies `stop`. Zero-budget edges are
+/// handled with a per-level Dijkstra pass over the zero-edge CSR
 /// (objectives must be nonnegative).
 ///
 /// Relaxation order — positive edges in id order per level, then the
 /// smallest-value-first zero pass — matches `reference::budget_dp` exactly,
 /// so values, parents, and recovered paths are bit-identical to the 2-D
 /// oracle.
-///
-/// Returns `true` when every level was computed; `false` when the
-/// scratch's [`CancelToken`] tripped mid-run (the value table is then
-/// partial and must not be read).
 #[must_use]
 fn budget_dp(
     scratch: &mut DpScratch,
@@ -455,7 +506,8 @@ fn budget_dp(
     bound: usize,
     budget_of: impl Fn(EdgeId) -> i64,
     objective_of: impl Fn(EdgeId) -> i64,
-) -> bool {
+    stop: impl Fn(&[i64]) -> bool,
+) -> SweepOutcome {
     let n = graph.node_count();
     // Predigest the weights: one accessor call per edge, validated once.
     digest_buckets(
@@ -476,7 +528,7 @@ fn budget_dp(
     let pos = std::mem::take(&mut scratch.pos);
     let zero = std::mem::take(&mut scratch.zero);
     let zero_start = std::mem::take(&mut scratch.zero_start);
-    let complete = dp_sweep(
+    let outcome = dp_sweep(
         scratch,
         &Buckets {
             pos: &pos,
@@ -486,18 +538,22 @@ fn budget_dp(
         n,
         s,
         bound + 1,
+        stop,
     );
     scratch.pos = pos;
     scratch.zero = zero;
     scratch.zero_start = zero_start;
-    complete
+    outcome
 }
 
-/// The DP loop proper, over already-built buckets: fills the scratch's
-/// flat value/parent tables for levels `0..levels`. The buckets may be the
-/// scratch's own ([`budget_dp`]) or a shared [`TopoDigest`]'s; either way
-/// the relaxation skips edges whose budget exceeds the current level, so
-/// buckets built at any bound ≥ `levels - 1` produce identical tables.
+/// The DP loop proper, over already-built buckets: computes the scratch's
+/// value/parent rows for levels `0..levels`, stopping after the first
+/// level whose row satisfies `stop`. The buckets may be the scratch's own
+/// ([`budget_dp`]) or a shared [`TopoDigest`]'s; either way the relaxation
+/// skips edges whose budget exceeds the current level, so buckets built at
+/// any bound ≥ `levels - 1` produce identical tables. Level `b` depends
+/// only on levels `≤ b`, so a stopped sweep's rows — and the parent chains
+/// behind them — are exactly a full sweep's.
 #[must_use]
 fn dp_sweep(
     scratch: &mut DpScratch,
@@ -505,24 +561,23 @@ fn dp_sweep(
     n: usize,
     s: NodeId,
     levels: usize,
-) -> bool {
-    fail_point!("csp.dp", |_msg| false);
+    stop: impl Fn(&[i64]) -> bool,
+) -> SweepOutcome {
+    fail_point!("csp.dp", |_msg| SweepOutcome::Cancelled);
     let cancel = scratch.cancel.clone();
     if cancel.is_cancelled() {
-        return false;
+        return SweepOutcome::Cancelled;
     }
     scratch.n = n;
     scratch.levels = levels;
     let has_zero = !buckets.zero.is_empty();
 
-    // Flat tables. `resize` keeps capacity across runs; rows are written
-    // level by level below, so no global fill is needed.
+    // Row-lazy tables: `dp_level` appends each row as its level is
+    // computed, so rows a stopped sweep never reaches are never written.
+    // `clear` keeps the capacity across runs.
     scratch.value.clear();
-    scratch.value.resize(levels * n, UNREACHED);
     scratch.par_edge.clear();
-    scratch.par_edge.resize(levels * n, NO_PARENT);
     scratch.par_level.clear();
-    scratch.par_level.resize(levels * n, 0);
     if scratch.settled.len() < n {
         scratch.settled.resize(n, 0);
     }
@@ -532,17 +587,19 @@ fn dp_sweep(
         // DP (levels are O(m) work each), rare enough to stay off the
         // profile.
         if b & 31 == 0 && cancel.is_cancelled() {
-            return false;
+            return SweepOutcome::Cancelled;
         }
         dp_level(scratch, buckets, n, s, b, has_zero);
+        if stop(&scratch.value[b * n..]) {
+            return SweepOutcome::Found(b);
+        }
     }
-    true
+    SweepOutcome::Exhausted
 }
 
-/// Relaxes one DP level `b`: carry-over from level `b−1`, positive-budget
-/// transitions in edge-id order, then the within-level zero-budget pass.
-/// Level `b` depends only on levels `≤ b`, so sweeps may stop after any
-/// prefix of levels and the computed rows match a full sweep bit-for-bit.
+/// Appends and relaxes DP level `b` (rows `0..b` must be in place):
+/// carry-over from level `b−1`, positive-budget transitions in edge-id
+/// order, then the within-level zero-budget pass.
 fn dp_level(
     scratch: &mut DpScratch,
     buckets: &Buckets<'_>,
@@ -552,10 +609,15 @@ fn dp_level(
     has_zero: bool,
 ) {
     let row = b * n;
+    debug_assert_eq!(scratch.value.len(), row, "levels are appended in order");
     if b > 0 {
-        // Carry-over: start from the previous level (one memcpy).
-        scratch.value.copy_within((row - n)..row, row);
+        // Carry-over: the new row starts as a copy of the previous level.
+        scratch.value.extend_from_within((row - n)..row);
+    } else {
+        scratch.value.resize(n, UNREACHED);
     }
+    scratch.par_edge.resize(row + n, NO_PARENT);
+    scratch.par_level.resize(row + n, 0);
     scratch.value[row + s.index()] = 0;
     // Cross-level transitions, in edge-id order (ties must resolve as
     // in the reference kernel).
@@ -614,114 +676,6 @@ fn dp_level(
             }
         }
     }
-}
-
-/// Outcome of a target-aware DP sweep ([`dp_sweep_until`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum SweepOutcome {
-    /// First level at which `t` is reachable with value ≤ the feasibility
-    /// bound.
-    Found(usize),
-    /// All levels computed; no level qualified.
-    Exhausted,
-    /// The scratch's [`CancelToken`] tripped mid-run (table is partial).
-    Cancelled,
-}
-
-/// [`dp_sweep`] with an early exit: stops at the first level `b` whose
-/// value at `t` is reachable and at most `feas_bound`. Because level `b`
-/// depends only on levels `≤ b`, the returned level — and the parent chain
-/// behind it — is exactly the one a full sweep plus a bottom-up scan finds;
-/// the sweep just skips the levels above it.
-#[must_use]
-fn dp_sweep_until(
-    scratch: &mut DpScratch,
-    buckets: &Buckets<'_>,
-    n: usize,
-    s: NodeId,
-    levels: usize,
-    t: NodeId,
-    feas_bound: i64,
-) -> SweepOutcome {
-    fail_point!("csp.dp", |_msg| SweepOutcome::Cancelled);
-    let cancel = scratch.cancel.clone();
-    if cancel.is_cancelled() {
-        return SweepOutcome::Cancelled;
-    }
-    scratch.n = n;
-    scratch.levels = levels;
-    let has_zero = !buckets.zero.is_empty();
-    scratch.value.clear();
-    scratch.value.resize(levels * n, UNREACHED);
-    scratch.par_edge.clear();
-    scratch.par_edge.resize(levels * n, NO_PARENT);
-    scratch.par_level.clear();
-    scratch.par_level.resize(levels * n, 0);
-    if scratch.settled.len() < n {
-        scratch.settled.resize(n, 0);
-    }
-    for b in 0..levels {
-        if b & 31 == 0 && cancel.is_cancelled() {
-            return SweepOutcome::Cancelled;
-        }
-        dp_level(scratch, buckets, n, s, b, has_zero);
-        let v = scratch.value[b * n + t.index()];
-        if v != UNREACHED && v <= feas_bound {
-            return SweepOutcome::Found(b);
-        }
-    }
-    SweepOutcome::Exhausted
-}
-
-/// [`budget_dp`] with the early exit of [`dp_sweep_until`]: digests the
-/// weights into the scratch buckets, then sweeps until the first level
-/// whose value at `t` is at most `feas_bound`.
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-fn budget_dp_until(
-    scratch: &mut DpScratch,
-    graph: &DiGraph,
-    s: NodeId,
-    bound: usize,
-    budget_of: impl Fn(EdgeId) -> i64,
-    objective_of: impl Fn(EdgeId) -> i64,
-    t: NodeId,
-    feas_bound: i64,
-) -> SweepOutcome {
-    let n = graph.node_count();
-    digest_buckets(
-        graph,
-        bound,
-        budget_of,
-        objective_of,
-        BucketBufs {
-            ebud: &mut scratch.ebud,
-            eobj: &mut scratch.eobj,
-            pos: &mut scratch.pos,
-            zero: &mut scratch.zero,
-            zero_start: &mut scratch.zero_start,
-        },
-    );
-    let pos = std::mem::take(&mut scratch.pos);
-    let zero = std::mem::take(&mut scratch.zero);
-    let zero_start = std::mem::take(&mut scratch.zero_start);
-    let outcome = dp_sweep_until(
-        scratch,
-        &Buckets {
-            pos: &pos,
-            zero: &zero,
-            zero_start: &zero_start,
-        },
-        n,
-        s,
-        bound + 1,
-        t,
-        feas_bound,
-    );
-    scratch.pos = pos;
-    scratch.zero = zero;
-    scratch.zero_start = zero_start;
-    outcome
 }
 
 /// Reconstructs the path reaching `t` at level `b` of a [`budget_dp`] run.
@@ -784,18 +738,20 @@ pub fn constrained_shortest_path_with(
     scratch: &mut DpScratch,
 ) -> Option<CspPath> {
     assert!(delay_bound >= 0);
-    let complete = budget_dp(
+    let bound = delay_bound as usize;
+    let outcome = budget_dp(
         scratch,
         graph,
         s,
-        delay_bound as usize,
+        bound,
         |e| graph.edge(e).delay,
         |e| graph.edge(e).cost,
+        full_sweep,
     );
-    if !complete || scratch.value_at(delay_bound as usize, t) == UNREACHED {
+    if outcome == SweepOutcome::Cancelled || scratch.value_at(bound, t) == UNREACHED {
         return None;
     }
-    let edges = recover(scratch, graph, s, t, delay_bound as usize);
+    let edges = recover(scratch, graph, s, t, bound);
     let p = CspPath::from_edges(graph, edges);
     debug_assert!(p.delay <= delay_bound);
     Some(p)
@@ -836,10 +792,15 @@ pub fn constrained_shortest_path_digested(
         digest.bound
     );
     let bound = delay_bound as usize;
-    if !dp_sweep(scratch, &digest.buckets(), digest.n, s, bound + 1) {
-        return None;
-    }
-    if scratch.value_at(bound, t) == UNREACHED {
+    let outcome = dp_sweep(
+        scratch,
+        &digest.buckets(),
+        digest.n,
+        s,
+        bound + 1,
+        full_sweep,
+    );
+    if outcome == SweepOutcome::Cancelled || scratch.value_at(bound, t) == UNREACHED {
         return None;
     }
     let edges = recover(scratch, graph, s, t, bound);
@@ -894,7 +855,15 @@ pub fn constrained_shortest_paths_digested(
             .map(|&i| queries[i].delay_bound as usize)
             .max()
             .expect("group is nonempty");
-        if !dp_sweep(scratch, &digest.buckets(), digest.n, s, max_bound + 1) {
+        let outcome = dp_sweep(
+            scratch,
+            &digest.buckets(),
+            digest.n,
+            s,
+            max_bound + 1,
+            full_sweep,
+        );
+        if outcome == SweepOutcome::Cancelled {
             break;
         }
         for &i in &idxs {
@@ -1023,7 +992,9 @@ pub fn rsp_fptas_with(
 
     // Scaled test: does a delay-feasible path of cost ≤ c(1+ε0) exist?
     // (pass ⇒ such a path is produced; fail ⇒ OPT > c). ε0 = 1 here.
-    // Takes the scratch explicitly so every probe reuses one arena.
+    // Takes the scratch explicitly so every probe reuses one arena. The
+    // sweep stops at the lowest delay-feasible level, the one a full
+    // sweep's bottom-up scan would pick.
     let test = |scratch: &mut DpScratch, c: i64| -> Option<CspPath> {
         // θ = c / (n+1); scaled cost c'(e) = floor(c(e)/θ); budget n+1.
         // For any ≤n-edge path: c(P)/θ − n ≤ c'(P) ≤ c(P)/θ.
@@ -1031,23 +1002,18 @@ pub fn rsp_fptas_with(
         let theta_den = n + 1;
         let scaled = |e: EdgeId| -> i64 { graph.edge(e).cost * theta_den / theta_num };
         let budget = (n + 1) as usize; // floor(c/θ) = n+1
-        let complete = budget_dp(
+        let SweepOutcome::Found(b) = budget_dp(
             scratch,
             graph,
             s,
             budget,
             |e| scaled(e).min(budget as i64 + 1),
             |e| graph.edge(e).delay,
-        );
-        if !complete {
+            reaches(t, delay_bound),
+        ) else {
             return None;
-        }
-        let b = (0..=budget).find(|&b| {
-            let v = scratch.value_at(b, t);
-            v != UNREACHED && v <= delay_bound
-        })?;
-        let edges = recover(scratch, graph, s, t, b);
-        Some(CspPath::from_edges(graph, edges))
+        };
+        Some(CspPath::from_edges(graph, recover(scratch, graph, s, t, b)))
     };
 
     // Geometric shrink until ub ≤ 4·lb. The test at the integer geometric
@@ -1075,7 +1041,8 @@ pub fn rsp_fptas_with(
         debug_assert!(lb <= ub);
     }
 
-    // Final scaled DP with target ε: θ = lb·ε/(n+1).
+    // Final scaled DP with target ε: θ = lb·ε/(n+1), again stopping at the
+    // lowest delay-feasible level.
     // scaled(e) = floor(c(e)/θ) = floor(c(e)·(n+1)·eps_den / (lb·eps_num)).
     let denom = lb as i128 * eps_num as i128;
     let scaled = |e: EdgeId| -> i64 {
@@ -1084,23 +1051,18 @@ pub fn rsp_fptas_with(
     // Budget: c'(P*) ≤ OPT/θ ≤ ub·(n+1)·eps_den/(lb·eps_num) (+ slack n).
     let budget = ((ub as i128 * (n as i128 + 1) * eps_den as i128) / denom + n as i128 + 1)
         .min(i128::from(u32::MAX)) as usize;
-    let complete = budget_dp(
+    let SweepOutcome::Found(b) = budget_dp(
         scratch,
         graph,
         s,
         budget,
         |e| scaled(e).min(budget as i64 + 1),
         |e| graph.edge(e).delay,
-    );
-    if !complete {
+        reaches(t, delay_bound),
+    ) else {
         return None;
-    }
-    let b = (0..=budget).find(|&b| {
-        let v = scratch.value_at(b, t);
-        v != UNREACHED && v <= delay_bound
-    })?;
-    let edges = recover(scratch, graph, s, t, b);
-    let p = CspPath::from_edges(graph, edges);
+    };
+    let p = CspPath::from_edges(graph, recover(scratch, graph, s, t, b));
     debug_assert!(p.delay <= delay_bound);
     Some(p)
 }
@@ -1109,8 +1071,8 @@ pub fn rsp_fptas_with(
 /// (Holzmüller-style improvement over the classic scheme): same contract as
 /// [`rsp_fptas`] — `delay ≤ delay_bound`, `cost ≤ (1+ε)·OPT`, or `None` if
 /// infeasible — but the final scaled DP runs over a bracket narrowed well
-/// below the classic scheme's fixed `ub ≤ 4·lb`, so at small ε most of the
-/// budget levels the classic kernel sweeps are never computed.
+/// below the classic scheme's fixed `ub ≤ 4·lb`, so at small ε it reaches
+/// its first delay-feasible level after far fewer budget levels.
 ///
 /// Allocates a fresh [`DpScratch`]; use [`rsp_fptas_interval_with`] to
 /// amortize across calls.
@@ -1136,7 +1098,8 @@ pub fn rsp_fptas_interval(
 
 /// [`rsp_fptas_interval`] over a caller-owned scratch arena.
 ///
-/// The scheme sharpens the classic pipeline in three places:
+/// The scheme sharpens the classic pipeline in two places (every DP here,
+/// as there, stops at the first delay-feasible level):
 ///
 /// 1. every interval test that *passes* keeps the witness path it
 ///    recovered, so `ub` is always the cost of a real delay-feasible path
@@ -1148,10 +1111,7 @@ pub fn rsp_fptas_interval(
 ///    stops as soon as a round would cost a constant fraction of the final
 ///    DP (`ε_t < 2ε`), or the bracket already certifies the incumbent
 ///    (`ub ≤ (1+ε)·lb` — then the incumbent is returned with no final DP
-///    at all);
-/// 3. the final scaled DP stops at the first delay-feasible level instead
-///    of sweeping the whole budget range and scanning afterwards — sound
-///    because level `b` depends only on levels `≤ b`.
+///    at all).
 ///
 /// Every interval test is a cancellation point (the scratch's
 /// [`CancelToken`] is honoured exactly like [`rsp_fptas_with`]'s) and
@@ -1231,15 +1191,14 @@ pub fn rsp_fptas_interval_with(
             graph.edge(e).cost as i128 * td as i128 * (n as i128 + 1) / denom
         };
         let budget = (td as i128 * (n as i128 + 1) / tn as i128).min(i128::from(u32::MAX)) as usize;
-        budget_dp_until(
+        budget_dp(
             scratch,
             graph,
             s,
             budget,
             |e| scaled(e).min(budget as i128 + 1) as i64,
             |e| graph.edge(e).delay,
-            t,
-            delay_bound,
+            reaches(t, delay_bound),
         )
     };
     // Applies one test outcome to the bracket; returns `false` on
@@ -1331,15 +1290,14 @@ pub fn rsp_fptas_interval_with(
     };
     let budget = ((ub as i128 * (n as i128 + 1) * eps_den as i128) / denom + n as i128 + 1)
         .min(i128::from(u32::MAX)) as usize;
-    match budget_dp_until(
+    match budget_dp(
         scratch,
         graph,
         s,
         budget,
         |e| scaled(e).min(budget as i128 + 1) as i64,
         |e| graph.edge(e).delay,
-        t,
-        delay_bound,
+        reaches(t, delay_bound),
     ) {
         SweepOutcome::Found(b) => {
             let edges = recover(scratch, graph, s, t, b);
@@ -1417,23 +1375,37 @@ mod tests {
 
     #[test]
     fn scratch_reuse_across_shapes() {
-        // One scratch, alternating graphs/bounds: buffers must re-dimension
-        // correctly and answers must match fresh-scratch runs.
+        // One scratch, alternating graphs, bounds, and sweep kinds: buffers
+        // must re-dimension correctly and answers must match fresh-scratch
+        // runs. ε = 1 FPTAS runs stop their sweeps early, and the full
+        // exact sweeps after them must not read the rows left behind.
         let g1 = tradeoff_graph();
         let g2 = DiGraph::from_edges(6, &[(0, 1, 2, 3), (1, 5, 2, 3), (0, 5, 9, 1)]);
+        let hops: Vec<_> = (0..9u32)
+            .flat_map(|v| [(v, v + 1, i64::from(v % 3), 6), (v, (v + 2).min(9), 9, 1)])
+            .collect();
+        let g3 = DiGraph::from_edges(10, &hops);
         let mut scratch = DpScratch::new();
+        let mut stopped_early = false;
         for _ in 0..3 {
-            for d in [1i64, 5, 20] {
-                for (g, t) in [(&g1, NodeId(3)), (&g2, NodeId(5))] {
+            for d in [1i64, 5, 20, 60] {
+                for (g, t) in [(&g1, NodeId(3)), (&g2, NodeId(5)), (&g3, NodeId(9))] {
                     let fresh = constrained_shortest_path(g, NodeId(0), t, d);
                     let reused = constrained_shortest_path_with(g, NodeId(0), t, d, &mut scratch);
-                    assert_eq!(fresh, reused);
-                    let fresh = rsp_fptas(g, NodeId(0), t, d, 1, 2);
-                    let reused = rsp_fptas_with(g, NodeId(0), t, d, 1, 2, &mut scratch);
-                    assert_eq!(fresh, reused);
+                    assert_eq!(fresh, reused, "exact d={d}");
+                    for (num, den) in [(1, 2), (1, 1)] {
+                        let fresh = rsp_fptas(g, NodeId(0), t, d, num, den);
+                        let reused = rsp_fptas_with(g, NodeId(0), t, d, num, den, &mut scratch);
+                        assert_eq!(fresh, reused, "fptas d={d} eps={num}/{den}");
+                        stopped_early |= scratch.value.len() < scratch.levels * scratch.n;
+                    }
                 }
             }
         }
+        assert!(
+            stopped_early,
+            "some FPTAS sweep must stop short of its budget"
+        );
     }
 
     #[test]

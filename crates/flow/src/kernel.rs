@@ -10,9 +10,13 @@
 //! * [`IntervalScalingFptas`] — the Holzmüller-style interval-scaling
 //!   scheme ([`crate::csp::rsp_fptas_interval_with`]): incumbent-tightened
 //!   geometric bracketing plus a refinement ladder of cheap interval tests,
-//!   so the final scaled DP sweeps an `(1+o(1))`-narrow budget window
-//!   instead of the classic fixed `4·lb` range, and stops at the first
-//!   delay-feasible level.
+//!   so the final scaled DP runs over an `(1+o(1))`-narrow budget window
+//!   instead of the classic fixed `4·lb` range.
+//!
+//! Both share one DP sweep that stops at the first delay-feasible budget
+//! level (every shrink test, interval test and final DP), so neither
+//! computes the levels above its answer; the classic scheme just starts
+//! its final DP from a wider bracket.
 //!
 //! Both give the same `(1+ε)` guarantee but generally different paths, so
 //! differential testing across kernels asserts *guarantees* (delay ≤ D,

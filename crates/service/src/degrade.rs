@@ -34,6 +34,11 @@
 //! algorithms never touch the RSP subproblem ([`Rung::LpRounding`],
 //! [`Rung::MinDelay`]) carry their assignment for observability only; the
 //! answering rung's kernel is reported on every response either way.
+//!
+//! The `k = 1` arm solves over a per-worker [`DpScratch`] arena rather than
+//! a fresh one per request: each thread keeps one, installs the request's
+//! [`CancelToken`] on every borrow, and frees tables a solve leaves above
+//! `K1_ARENA_KEEP_BYTES`.
 
 use krsp::{
     baselines, rsp_kernel, solve_warm_with, solve_with, CancelToken, Config, DpScratch, Instance,
@@ -41,7 +46,24 @@ use krsp::{
 };
 use krsp_graph::EdgeSet;
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::time::Duration;
+
+/// Table capacity, in bytes, a worker's `k = 1` DP arena keeps between
+/// requests. Tables grow with `levels × n`; at ε = 1 a hundred `n = 240`
+/// gnm instances left about 2 MB, far below this, while one outsized
+/// instance's tables are freed when its solve returns instead of staying
+/// pinned for the daemon's lifetime.
+const K1_ARENA_KEEP_BYTES: usize = 16 << 20;
+
+thread_local! {
+    /// Per-worker DP arena for the `k = 1` arm — the pattern of
+    /// `krsp::batch`'s `WORKER_SCRATCH` and the bicameral seed scan's
+    /// `SEED_BF`: a worker allocates its tables once, not once per request.
+    /// Scratch reuse is output-invariant, so answers match fresh-scratch
+    /// solves bit for bit.
+    static K1_DP: RefCell<DpScratch> = RefCell::new(DpScratch::new());
+}
 
 /// The ladder rungs, best first.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -376,11 +398,20 @@ fn attempt(
         // ≤ D — exactly the Full rung's advertised guarantee) instead of
         // the k-path cycle-cancellation machinery.
         Rung::Full | Rung::SingleProbe if inst.k == 1 => {
-            let mut dp = DpScratch::new();
-            dp.set_cancel(cancel.clone());
-            let solved = rsp_kernel(kernel)
-                .solve_with(&inst.graph, inst.s, inst.t, inst.delay_bound, 1, 1, &mut dp)
-                .expect("1/1 is a valid epsilon");
+            let solved = K1_DP.with(|dp| {
+                let mut dp = dp.borrow_mut();
+                // Every borrow installs this request's token, so one left
+                // by an earlier (cancelled or panicked) request never
+                // reaches this solve.
+                dp.set_cancel(cancel.clone());
+                let solved = rsp_kernel(kernel)
+                    .solve_with(&inst.graph, inst.s, inst.t, inst.delay_bound, 1, 1, &mut dp)
+                    .expect("1/1 is a valid epsilon");
+                if dp.table_bytes() > K1_ARENA_KEEP_BYTES {
+                    *dp = DpScratch::new();
+                }
+                solved
+            });
             match solved {
                 Some(p) => {
                     match Solution::from_edge_set(inst, EdgeSet::from_edges(inst.m(), &p.edges)) {
@@ -429,6 +460,8 @@ fn attempt(
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use krsp::KERNEL_KINDS;
+    use krsp_gen::{Family, Regime, Workload};
     use krsp_graph::{DiGraph, NodeId};
 
     fn tradeoff(d: i64) -> Instance {
@@ -566,6 +599,9 @@ mod tests {
 
     #[test]
     fn k1_instances_answer_through_the_assigned_kernel() {
+        // Solves through `csp.dp`, which `k1_arena_survives_a_panicked_solve`
+        // arms.
+        let _fp = crate::sync_util::fp_lock();
         // k = 1 over the tradeoff graph: OPT = 4 (the (2,6)+(2,6) legs)
         // under budget 12; both kernels certify cost ≤ 2·OPT, delay ≤ D,
         // and the answer reports the rung's kernel.
@@ -606,6 +642,76 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, LadderError::Infeasible);
+    }
+
+    fn gnm_k1(n: usize, seed: u64) -> Instance {
+        krsp_gen::instantiate_with_retries(
+            Workload {
+                family: Family::Gnm,
+                n,
+                m: 4 * n,
+                regime: Regime::Anticorrelated,
+                k: 1,
+                tightness: 0.5,
+                seed,
+            },
+            50,
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn k1_arena_survives_a_panicked_solve() {
+        // One thread, so every attempt below borrows the same per-worker
+        // arena: a larger solve leaves big tables behind, a request with a
+        // tripped token must still stop (the arena runs under each
+        // request's own token), the next solve panics inside its DP with
+        // its token still installed, and that token is tripped afterwards.
+        // The request after that must see neither the torn tables nor the
+        // stale token.
+        let _fp = crate::sync_util::fp_lock();
+        let (big, inst) = (gnm_k1(60, 3), gnm_k1(30, 11));
+        let mut scratch = SearchScratch::new();
+        for kind in KERNEL_KINDS {
+            let mut solve = |inst: &Instance, cancel: &CancelToken| {
+                attempt(
+                    inst,
+                    &Config::default(),
+                    Rung::Full,
+                    kind,
+                    &mut scratch,
+                    cancel,
+                    None,
+                )
+            };
+            let warm = solve(&big, &CancelToken::never());
+            assert!(matches!(warm, Attempt::Solved(..)), "{kind}: warm-up solve");
+            let tripped = CancelToken::cancellable();
+            tripped.cancel();
+            let stopped = solve(&inst, &tripped);
+            assert!(
+                matches!(stopped, Attempt::RungFailed),
+                "{kind}: cancelled solve"
+            );
+
+            krsp_failpoint::cfg("csp.dp", "panic").unwrap();
+            let stale = CancelToken::cancellable();
+            let torn =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| solve(&inst, &stale)));
+            assert!(torn.is_err(), "{kind}: the armed csp.dp site must panic");
+            krsp_failpoint::remove("csp.dp");
+            stale.cancel();
+
+            let Attempt::Solved(again, _) = solve(&inst, &CancelToken::never()) else {
+                panic!("{kind}: the request after a panicked solve must answer");
+            };
+            let fresh = rsp_kernel(kind)
+                .solve(&inst.graph, inst.s, inst.t, inst.delay_bound, 1, 1)
+                .unwrap()
+                .unwrap();
+            let fresh = EdgeSet::from_edges(inst.m(), &fresh.edges);
+            assert_eq!(again.edges, fresh, "{kind}");
+        }
     }
 
     #[test]

@@ -573,6 +573,7 @@ mod tests {
 
     #[test]
     fn failpoints_gate_disk_io() {
+        let _fp = crate::sync_util::fp_lock();
         let dir = tmpdir("fp");
         let c = DiskCache::open(&dir, 0).unwrap();
         krsp_failpoint::setup_str("cache.disk_write=err").unwrap();

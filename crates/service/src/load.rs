@@ -17,14 +17,15 @@
 use crate::degrade::Rung;
 use crate::metrics::MetricsSnapshot;
 use crate::proto::{
-    self, BatchQuery, ErrorKind, SolveBatchRequest, SolveRequest, WireRequest, WireResponse,
+    self, write_line, BatchQuery, ErrorKind, SolveBatchRequest, SolveRequest, WireRequest,
+    WireResponse,
 };
 use crate::service::{Rejection, Request, Service};
 use crate::sync_util::lock_recover;
 use krsp_gen::{Family, Regime, Workload};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -560,8 +561,7 @@ impl WireClient {
         }
         let reader = self.conn.as_mut().expect("connected above");
         let sent = Instant::now();
-        reader.get_mut().write_all(line.as_bytes())?;
-        reader.get_mut().write_all(b"\n")?;
+        write_line(reader.get_mut(), line)?;
         let mut out = Vec::with_capacity(replies);
         for _ in 0..replies {
             let mut reply = String::new();
@@ -667,8 +667,7 @@ fn run_pipelined_client(
                     for id in &order {
                         let pending = outstanding.get_mut(id).expect("order tracks outstanding");
                         pending.last_send = Instant::now();
-                        reader.get_mut().write_all(pending.line.as_bytes()).ok()?;
-                        reader.get_mut().write_all(b"\n").ok()?;
+                        write_line(reader.get_mut(), &pending.line).ok()?;
                     }
                     Some(reader)
                 });
@@ -715,10 +714,9 @@ fn run_pipelined_client(
             }
             let id = i as u64;
             let line = line_with_id(&lines[i % lines.len()], id);
-            let wrote = conn.as_mut().is_some_and(|reader| {
-                reader.get_mut().write_all(line.as_bytes()).is_ok()
-                    && reader.get_mut().write_all(b"\n").is_ok()
-            });
+            let wrote = conn
+                .as_mut()
+                .is_some_and(|reader| write_line(reader.get_mut(), &line).is_ok());
             let now = Instant::now();
             outstanding.insert(
                 id,

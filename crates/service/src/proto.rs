@@ -952,6 +952,17 @@ pub(crate) enum BlockAction {
     Fail,
 }
 
+/// Writes `line` and its terminating newline in one `write_all`. A lone
+/// `"\n"` written after the line would be a segment of its own, and on a
+/// socket without `TCP_NODELAY` it waits out Nagle plus the peer's delayed
+/// ACK (tens of milliseconds) while the peer holds an unterminated line.
+pub(crate) fn write_line(w: &mut impl Write, line: &str) -> std::io::Result<()> {
+    let mut buf = Vec::with_capacity(line.len() + 1);
+    buf.extend_from_slice(line.as_bytes());
+    buf.push(b'\n');
+    w.write_all(&buf)
+}
+
 /// Reads one `\n`-terminated line, buffering at most `max` bytes.
 ///
 /// `Interrupted` reads are always retried. A *blocked* read (`WouldBlock`
@@ -1122,8 +1133,7 @@ fn handle_connection(
                 dispatch_line(service, &line)
             }
         };
-        writer.write_all(reply.as_bytes())?;
-        writer.write_all(b"\n")?;
+        write_line(&mut writer, &reply)?;
         writer.flush()?;
     }
 }
@@ -1239,8 +1249,7 @@ pub(crate) fn shed_at_accept(stream: TcpStream, message: &str) {
     let _ = stream.set_nonblocking(false);
     let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
     let mut stream = stream;
-    let _ = stream.write_all(line.as_bytes());
-    let _ = stream.write_all(b"\n");
+    let _ = write_line(&mut stream, &line);
 }
 
 #[cfg(test)]

@@ -50,8 +50,9 @@ use crate::hash::canonical_key;
 use crate::metrics::LatencyHistogram;
 use crate::proto::{
     decode_request_line, decode_response_line, encode_response_line, read_line_capped, wire_error,
-    BlockAction, EpochReply, ErrorKind, HealthReply, HealthStatus, LineRead, RegisteredReply,
-    ReplicaStatus, RingReply, SolveRequest, WireRequest, WireResponse, MAX_LINE_BYTES,
+    write_line, BlockAction, EpochReply, ErrorKind, HealthReply, HealthStatus, LineRead,
+    RegisteredReply, ReplicaStatus, RingReply, SolveRequest, WireRequest, WireResponse,
+    MAX_LINE_BYTES,
 };
 use crate::sync_util::{lock_recover, saturating_deadline};
 use serde::Content;
@@ -1002,8 +1003,7 @@ impl Router {
             .saturating_duration_since(Instant::now())
             .max(Duration::from_millis(1));
         conn.set_write_timeout(Some(remaining))?;
-        conn.write_all(line.as_bytes())?;
-        conn.write_all(b"\n")?;
+        write_line(conn, line)?;
         conn.flush()?;
         conn.set_read_timeout(Some(READ_TICK))?;
         let mut reader = BufReader::new(&mut *conn);
@@ -1273,8 +1273,7 @@ fn handle_client(router: &Router, stream: TcpStream, shutdown: &AtomicBool) -> s
                 router.handle_line(&line)
             }
         };
-        writer.write_all(reply.as_bytes())?;
-        writer.write_all(b"\n")?;
+        write_line(&mut writer, &reply)?;
         writer.flush()?;
     }
 }

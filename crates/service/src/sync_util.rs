@@ -50,6 +50,30 @@ pub(crate) fn wait_timeout_recover<'a, T>(
     }
 }
 
+/// Holds the crate's fail-point lock (see [`fp_lock`]); disarms every site
+/// on drop, even when the test panics.
+#[cfg(test)]
+pub(crate) struct FpGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
+
+#[cfg(test)]
+impl Drop for FpGuard {
+    fn drop(&mut self) {
+        krsp_failpoint::clear();
+    }
+}
+
+/// Serializes this crate's unit tests that arm fail points, or that solve
+/// through a site another test arms: the registry is process-global, so a
+/// site armed by one test would fire inside a concurrent test's solve.
+/// Starts from a clean registry.
+#[cfg(test)]
+pub(crate) fn fp_lock() -> FpGuard {
+    static FP_LOCK: Mutex<()> = Mutex::new(());
+    let guard = lock_recover(&FP_LOCK);
+    krsp_failpoint::clear();
+    FpGuard(guard)
+}
+
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {

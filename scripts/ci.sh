@@ -81,4 +81,12 @@ grep -q '"variant": "interval"' "$smoke_out"
 grep -q '"bench": "rsp_kernel(classic/interval)"' "$smoke_out"
 rm -f "$smoke_out"
 
+echo "== benchmark self-tests (perfbench: every answer audited on all four workloads)"
+# perfbench is a package of its own; its tests run a small version of each
+# workload through the service and audit every answer with the benchmark's
+# independent checker: k disjoint simple s-t paths, cost and delay
+# recomputed from the edges, and cost <= 2 x the exact RSP optimum for
+# k = 1. This stage only reads perfbench/.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "CI OK"

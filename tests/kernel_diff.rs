@@ -91,6 +91,9 @@ proptest! {
         bound in 0i64..400,
         eps_ix in 0usize..EPSILONS.len(),
     ) {
+        // Both kernels run here, and the failpoint tests below arm the
+        // process-global `csp.interval_test` site.
+        let _fp = fp_lock();
         let (eps_num, eps_den) = EPSILONS[eps_ix];
         let family = FAMILIES[fam_ix];
         let g = family_graph(family, n, REGIMES[reg_ix], seed);
@@ -169,6 +172,7 @@ fn tradeoff(d_bound: i64) -> Instance {
 #[test]
 fn ladder_answers_are_width_invariant_per_kernel() {
     let _guard = WidthGuard::lock();
+    let _fp = fp_lock();
     let instances = [chain_instance(), tradeoff(24)];
     let cfg = Config::default();
     let policy = LadderPolicy::default();
@@ -213,6 +217,7 @@ fn ladder_answers_are_width_invariant_per_kernel() {
 /// for both kernels.
 #[test]
 fn epsilon_edge_cases_reject_or_clamp() {
+    let _fp = fp_lock();
     let g = chain_graph();
     let (s, t, d) = (NodeId(0), NodeId(5), 10);
     for kind in KERNEL_KINDS {
@@ -237,6 +242,7 @@ fn epsilon_edge_cases_reject_or_clamp() {
 /// token is replaced.
 #[test]
 fn cancellation_mid_interval_test_returns_none() {
+    let _fp = fp_lock();
     let g = chain_graph();
     let (s, t, d) = (NodeId(0), NodeId(5), 10);
     let mut dp = DpScratch::new();
@@ -270,6 +276,8 @@ static FP_LOCK: Mutex<()> = Mutex::new(());
 /// Serializes failpoint use and guarantees a clean registry on entry and
 /// exit (the registry is process-global; same discipline as
 /// `tests/chaos.rs`, private copy for the same reason as [`WidthGuard`]).
+/// Every test that runs the interval kernel holds it too: an armed
+/// `csp.interval_test` site would otherwise fire inside its solves.
 struct FpGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
 
 impl Drop for FpGuard {

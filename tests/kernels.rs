@@ -88,9 +88,10 @@ proptest! {
         seed in 0u64..1_000_000,
         bound in 0i64..400,
         zero_stride in 0usize..4,
-        eps_ix in 0usize..3,
+        eps_ix in 0usize..4,
     ) {
-        let (eps_num, eps_den) = [(1, 2), (1, 4), (3, 10)][eps_ix];
+        // (1, 1) is the ε the service's k = 1 ladder arm runs at.
+        let (eps_num, eps_den) = [(1, 2), (1, 4), (3, 10), (1, 1)][eps_ix];
         let family = FAMILIES[fam_ix];
         let g = family_graph(family, n, REGIMES[reg_ix], seed, zero_stride);
         let (s, t) = family.terminals(g.node_count());
