@@ -7,10 +7,10 @@
 //! * [`greedy_rsp`] — sequential restricted shortest paths with per-path
 //!   budget `D/k` (the folklore heuristic; incomplete by design — it can
 //!   report infeasible on feasible instances).
-//! * [`orda_sprintson`] — the paper's characterization of [18]: cycle
+//! * [`orda_sprintson`] — the paper's characterization of \[18\]: cycle
 //!   cancellation in a residual graph whose *reversed edges keep cost 0*
 //!   (so costs stay nonnegative) driven by minimum-ratio cycles.
-//! * [`lp_rounding_only`] — phase 1 alone, i.e. reference [9]'s `(2, 2)`.
+//! * [`lp_rounding_only`] — phase 1 alone, i.e. reference \[9\]'s `(2, 2)`.
 
 use crate::instance::Instance;
 use crate::phase1::{self, Phase1Backend};
@@ -186,9 +186,9 @@ pub fn yen_disjoint(inst: &Instance, pool: usize) -> Option<Solution> {
     sol.is_delay_feasible(inst).then_some(sol)
 }
 
-/// The Min–Max relative ([16], §1.2): `k` disjoint paths minimizing the
+/// The Min–Max relative (\[16\], §1.2): `k` disjoint paths minimizing the
 /// *longest* path's delay. NP-complete; the classical 2-approximation
-/// ([16] via [20, 21]) returns the min-(total-delay) disjoint paths — the
+/// (\[16\] via \[20, 21\]) returns the min-(total-delay) disjoint paths — the
 /// longest of which is within 2× of the optimal longest path for `k = 2`.
 ///
 /// Returns `(solution, longest_path_delay)`.
@@ -204,7 +204,7 @@ pub fn min_max_2approx(inst: &Instance) -> Option<(Solution, i64)> {
     Some((sol, longest))
 }
 
-/// Reference [9] alone: the phase-1 `(2, 2)` LP rounding, reported as-is
+/// Reference \[9\] alone: the phase-1 `(2, 2)` LP rounding, reported as-is
 /// (its delay may exceed `D` by up to 2×; that is the point of phase 2).
 #[must_use]
 pub fn lp_rounding_only(inst: &Instance) -> Option<Solution> {

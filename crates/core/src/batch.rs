@@ -245,7 +245,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// the queries it processes, and each query runs inside `catch_unwind`:
 /// a panicking instance yields [`BatchError::Panicked`] in its own slot
 /// while every sibling query completes normally. Results are bit-identical
-/// to N independent [`solve`] calls at any worker width.
+/// to N independent [`solve`](crate::solve) calls at any worker width.
 ///
 /// ```
 /// use krsp::{solve_batch, Config, Instance};

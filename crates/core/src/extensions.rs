@@ -151,7 +151,7 @@ pub enum KbcpOutcome {
     Infeasible,
 }
 
-/// Solves the `k` disjoint bi-constrained path problem ([12]): `k` disjoint
+/// Solves the `k` disjoint bi-constrained path problem (\[12\]): `k` disjoint
 /// paths with `Σcost ≤ cost_bound` **and** `Σdelay ≤ delay_bound`.
 ///
 /// Implemented exactly as the paper positions it ("all approximations of

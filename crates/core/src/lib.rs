@@ -11,7 +11,7 @@
 //! cost subject to a bound `D` on *total* delay. NP-hard; this crate
 //! provides the paper's bifactor approximation algorithms:
 //!
-//! * [`phase1`] — the `(2, 2)` LP-rounding of Lemma 5 (reference [9]),
+//! * [`phase1`] — the `(2, 2)` LP-rounding of Lemma 5 (reference \[9\]),
 //!   with a parametric (Lagrangian) and an exact-simplex backend;
 //! * [`bicameral`] — bicameral cycles (Definition 10) and the search
 //!   engines of Section 4 (layered auxiliary graphs, LP (6));
@@ -21,7 +21,7 @@
 //! * [`exact`] — exponential exact solvers (brute force, branch-and-bound)
 //!   used to measure true approximation ratios;
 //! * [`baselines`] — the comparison algorithms from the related work
-//!   ([9], [17], [18], [20, 21]).
+//!   (\[9\], \[17\], \[18\], \[20, 21\]).
 //!
 //! ## Quick start
 //!

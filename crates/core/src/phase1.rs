@@ -1,4 +1,4 @@
-//! Phase 1 — the LP-rounding `(2, 2)` algorithm of Lemma 5 (reference [9]).
+//! Phase 1 — the LP-rounding `(2, 2)` algorithm of Lemma 5 (reference \[9\]).
 //!
 //! The underlying LP relaxes kRSP to fractional flows:
 //!

@@ -2,7 +2,7 @@
 //!
 //! * [`constrained_shortest_path`] — exact pseudo-polynomial DP: the
 //!   minimum-cost `st`-path with delay at most `D`.
-//! * [`rsp_fptas`] — the Lorenz–Raz style `(1+ε)` FPTAS [17]: cost at most
+//! * [`rsp_fptas`] — the Lorenz–Raz style `(1+ε)` FPTAS \[17\]: cost at most
 //!   `(1+ε)·OPT`, delay at most `D`, polynomial in `1/ε`. This is also the
 //!   scaling template the paper's Theorem 4 applies to Algorithm 1.
 //!
@@ -287,7 +287,7 @@ fn digest_buckets(
 /// * every query bound must be ≤ the digest's `bound`. The relaxation loop
 ///   skips edges whose budget exceeds the current level, and levels are
 ///   computed bottom-up, so a sweep truncated at a smaller bound is
-///   bit-identical to a dedicated [`budget_dp`] run at that bound.
+///   bit-identical to a dedicated `budget_dp` run at that bound.
 pub struct TopoDigest {
     pos: Vec<PosEdge>,
     zero: Vec<ZeroEdge>,

@@ -4,7 +4,7 @@
 //! costs to **zero** so their residual graphs stay nonnegative in cost, at
 //! which point "the minimum-mean-cycle algorithm can be applied therein, and
 //! hence a best cycle for cycle cancellation, i.e. `O` with `d(O)/c(O)`
-//! minimized, can be computed in polynomial time [15]". This module provides
+//! minimized, can be computed in polynomial time \[15\]". This module provides
 //! both primitives for the Orda–Sprintson-style baseline:
 //!
 //! * [`min_mean_cycle`] — Karp's `O(nm)` dynamic program.

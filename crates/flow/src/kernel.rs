@@ -144,8 +144,8 @@ pub fn validate_eps(num: u32, den: u32) -> Result<(u32, u32), KernelError> {
 /// `s→t` path with `delay ≤ delay_bound`, to within a `(1+ε)` cost factor.
 ///
 /// Implementations must be stateless (all mutable state rides in the
-/// caller's [`DpScratch`], including the [`CancelToken`]
-/// (crate::cancel::CancelToken) polled mid-solve), so a single `&'static`
+/// caller's [`DpScratch`], including the
+/// [`CancelToken`](crate::CancelToken) polled mid-solve), so a single `&'static`
 /// instance serves every thread.
 pub trait RspKernel: Send + Sync {
     /// Which backend this is.

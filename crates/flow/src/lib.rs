@@ -3,19 +3,19 @@
 //! Everything the paper's algorithms and baselines stand on, implemented
 //! from scratch:
 //!
-//! * [`bellman_ford`] — shortest paths with arbitrary signed weights and
+//! * [`bellman_ford`](mod@bellman_ford) — shortest paths with arbitrary signed weights and
 //!   negative-cycle *extraction* (the engine behind cycle cancellation).
-//! * [`dijkstra`] — nonnegative-weight shortest paths.
+//! * [`dijkstra`](mod@dijkstra) — nonnegative-weight shortest paths.
 //! * [`dinic`] — unit-capacity max flow (`k`-disjoint-path feasibility,
 //!   Menger-style).
 //! * [`mcf`] — min-cost flow via successive shortest paths over generic
 //!   ordered weights, including exact lexicographic tie-breaking (the
 //!   phase-1 parametric backend and the Suurballe-style min-sum baseline
 //!   [20, 21] both reduce to this).
-//! * [`karp`] — Karp's minimum mean cycle (the Orda–Sprintson [18] baseline
+//! * [`karp`] — Karp's minimum mean cycle (the Orda–Sprintson \[18\] baseline
 //!   cancels minimum-mean cycles in a nonnegative-cost residual graph).
 //! * [`csp`] — delay-constrained shortest path: exact pseudo-polynomial DP
-//!   and the Lorenz–Raz style FPTAS [17] (the `k = 1` special case of kRSP,
+//!   and the Lorenz–Raz style FPTAS \[17\] (the `k = 1` special case of kRSP,
 //!   and the scaling template behind Theorem 4).
 //! * [`weight`] — the [`weight::Weight`] abstraction (`i64`, `i128`,
 //!   [`krsp_numeric::Lex2`]) shared by all of the above.

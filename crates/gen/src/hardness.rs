@@ -1,6 +1,6 @@
 //! The NP-hardness gadget family.
 //!
-//! kRSP is NP-hard (the paper cites [16]; the standard argument embeds
+//! kRSP is NP-hard (the paper cites \[16\]; the standard argument embeds
 //! PARTITION into a chain of two-edge choice gadgets even for `k = 1`).
 //! This generator materializes that reduction: given items `a_1..a_n`, a
 //! chain of gadgets where step `i` chooses between an edge with

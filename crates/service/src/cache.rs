@@ -1,4 +1,4 @@
-//! LRU solution cache keyed by [`CacheKey`](crate::hash::CacheKey).
+//! LRU solution cache keyed by [`CacheKey`].
 //!
 //! Provisioning traffic is heavily repetitive — failure storms re-request
 //! the same flows, controllers retry idempotently — so the service memoizes

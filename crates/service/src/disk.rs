@@ -434,6 +434,7 @@ mod tests {
 
     #[test]
     fn roundtrip_and_reopen() {
+        let _fp = crate::sync_util::fp_lock();
         let dir = tmpdir("roundtrip");
         let c = DiskCache::open(&dir, 0).unwrap();
         for v in 0..20u64 {
@@ -463,6 +464,7 @@ mod tests {
 
     #[test]
     fn refresh_shadows_older_record() {
+        let _fp = crate::sync_util::fp_lock();
         let dir = tmpdir("shadow");
         let c = DiskCache::open(&dir, 0).unwrap();
         let key = CacheKey(42u128 << 64);
@@ -478,6 +480,7 @@ mod tests {
 
     #[test]
     fn torn_tail_is_dropped_rest_recovers() {
+        let _fp = crate::sync_util::fp_lock();
         let dir = tmpdir("torn");
         let c = DiskCache::open(&dir, 0).unwrap();
         for v in 0..10u64 {
@@ -515,6 +518,7 @@ mod tests {
 
     #[test]
     fn remove_unindexes_the_record() {
+        let _fp = crate::sync_util::fp_lock();
         let dir = tmpdir("remove");
         let c = DiskCache::open(&dir, 0).unwrap();
         c.put(CacheKey(9), &answer(4)).unwrap();
@@ -530,6 +534,7 @@ mod tests {
 
     #[test]
     fn corrupt_checksum_is_rejected() {
+        let _fp = crate::sync_util::fp_lock();
         let dir = tmpdir("cksum");
         let c = DiskCache::open(&dir, 0).unwrap();
         c.put(CacheKey(1), &answer(10)).unwrap();
@@ -549,6 +554,7 @@ mod tests {
 
     #[test]
     fn byte_cap_drops_oldest_segments() {
+        let _fp = crate::sync_util::fp_lock();
         let dir = tmpdir("cap");
         // Tiny cap: after enough records the earliest segments must go.
         let c = DiskCache::open(&dir, 8192).unwrap();

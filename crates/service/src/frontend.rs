@@ -1,25 +1,37 @@
-//! The event-driven NDJSON frontend: one reactor thread multiplexing
-//! every connection over the vendored `krsp-reactor` epoll/poll loop.
+//! The NDJSON connection loop: one reactor thread multiplexing every
+//! connection over the vendored `krsp-reactor` epoll/poll loop. It is the
+//! only connection loop in the crate: a replica
+//! ([`crate::proto::serve_with_shutdown`]) and the replica-ring router
+//! ([`crate::router::serve_ring_with_shutdown`]) both run it, each with
+//! its own [`Backend`].
 //!
 //! ## Shape
 //!
 //! The reactor thread owns the listener, every connection socket, and all
 //! per-connection state (read framing, write buffers, ordering queues).
-//! It never solves: `Solve` requests go through
-//! [`Service::provision_async`], run on the service's worker pool, and
-//! complete by pushing a rendered response line onto a shared completion
-//! queue and waking the reactor through its wake pipe. Total threads are
-//! therefore O(workers) + 1 regardless of connection count.
+//! It never blocks on a request. What it cannot answer inline it hands
+//! off, and the answer comes back as a rendered response line pushed onto
+//! a shared completion queue, with a wake of the reactor's wake pipe:
+//!
+//! * A service backend answers `Metrics`, `Health`, `Register` and `Epoch`
+//!   inline and solves through [`Service::provision_async`] on the
+//!   service's worker pool, so total threads are O(workers) + 1 whatever
+//!   the connection count.
+//! * A router backend answers `Health` inline from its ring view and runs
+//!   every other request on a thread of its own. Once
+//!   [`ServeOptions::max_conns`] of them are in flight it answers
+//!   `"shed"`, so threads stay bounded as with one thread per allowed
+//!   connection, even when one `SolveBatch` line carries many queries.
 //!
 //! ## Ordering model
 //!
 //! Requests carrying an `"id"` member are dispatched immediately and
 //! answered in completion order (out-of-order pipelining). Requests
-//! without an id keep the historical blocking semantics: each one is
-//! evaluated only after the previous id-less response on the same
-//! connection was produced, so legacy clients observe the same ordering
-//! *and* the same side-effect timing (a pipelined `"Metrics"` still
-//! counts the solve before it) as the thread-per-connection server.
+//! without an id keep blocking-server semantics: each one is evaluated
+//! only after the previous id-less response on the same connection was
+//! produced, so legacy clients observe in-order answers *and* the
+//! side-effect timing a blocking server gives (a pipelined `"Metrics"`
+//! still counts the solve before it).
 //!
 //! ## Fairness and protection
 //!
@@ -45,6 +57,7 @@ use crate::proto::{
     self, health_reply, solve_response, DecodedRequest, ErrorKind, ServeOptions, SolveBatchRequest,
     SolveRequest, WireRequest, WireResponse, MAX_LINE_BYTES,
 };
+use crate::router::Router;
 use crate::service::{Request, Service};
 use crate::sync_util::{lock_recover, saturating_deadline};
 use krsp_reactor::{Event, Interest, Mode, Reactor, Token, Waker};
@@ -53,6 +66,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind as IoErrorKind, Read, Write};
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -70,26 +84,25 @@ const READ_CHUNK: usize = 64 * 1024;
 /// Compact the write buffer once this many bytes are already flushed.
 const OUT_COMPACT: usize = 64 * 1024;
 
-/// The pieces `serve_event_driven` hands back when no poll facility
-/// exists, so the caller can fall back to the threaded server.
-pub(crate) type FallbackParts = (TcpListener, Arc<AtomicBool>, ServeOptions);
+/// What the loop answers requests with.
+pub(crate) enum Backend {
+    /// A replica: solves run on the service's worker pool, everything
+    /// else is answered inline.
+    Service(Service),
+    /// The replica ring: `Health` is answered inline, every other request
+    /// is routed on a thread of its own.
+    Router(Router),
+}
 
-/// Runs the event-driven server. On an `Unsupported` reactor (no poll
-/// facility on this platform) the listener/flag/options are returned so
-/// the caller can fall back; any later error is terminal.
-pub(crate) fn serve_event_driven(
-    service: &Service,
+/// Runs the connection loop on `listener` until `shutdown` flips and the
+/// drain completes (or its grace lapses).
+pub(crate) fn serve(
+    backend: Backend,
     listener: TcpListener,
     shutdown: Arc<AtomicBool>,
     opts: ServeOptions,
-) -> Result<(), (std::io::Error, Option<FallbackParts>)> {
-    let reactor = match Reactor::new() {
-        Ok(r) => r,
-        Err(e) => return Err((e, Some((listener, shutdown, opts)))),
-    };
-    Frontend::new(service.clone(), reactor, listener, shutdown, opts)
-        .and_then(Frontend::run)
-        .map_err(|e| (e, None))
+) -> std::io::Result<()> {
+    Frontend::new(backend, Reactor::new()?, listener, shutdown, opts)?.run()
 }
 
 /// One response produced off-thread, addressed by connection token.
@@ -112,6 +125,7 @@ enum Queued {
 }
 
 /// A complete line produced by the incremental framer.
+#[cfg_attr(test, derive(Debug, PartialEq))]
 enum Framed {
     Line(Vec<u8>),
     /// The line blew past [`MAX_LINE_BYTES`]. The framer kept the line's
@@ -126,16 +140,86 @@ enum Framed {
 /// anything fancier than a leading integer id falls back to a bare error.
 const ID_PREFIX: usize = 256;
 
-struct Conn {
-    stream: TcpStream,
-    peer: IpAddr,
+/// The incremental line framer: read chunks in, complete lines (and
+/// oversize markers) out. It holds no socket, so tests drive it directly.
+#[derive(Default)]
+struct Framer {
     /// Bytes of the current (incomplete) request line.
     line: Vec<u8>,
     /// The current line blew past [`MAX_LINE_BYTES`]; bytes are dropped
-    /// until its newline, then one oversize error is emitted. While set,
+    /// until its newline, then one oversize marker is emitted. While set,
     /// `line` holds the frozen [`ID_PREFIX`]-byte head of the oversize
     /// line (for id recovery), not live framing state.
     discarding: bool,
+}
+
+impl Framer {
+    /// Feeds one read chunk, appending complete lines (and oversize
+    /// markers) to `framed`.
+    fn push(&mut self, mut rest: &[u8], framed: &mut Vec<Framed>) {
+        while let Some(pos) = rest.iter().position(|&b| b == b'\n') {
+            let (head, tail) = rest.split_at(pos);
+            rest = &tail[1..];
+            if self.discarding {
+                self.discarding = false;
+                framed.push(Framed::TooLong(self.take_oversize_id()));
+            } else if self.line.len() + head.len() > MAX_LINE_BYTES {
+                self.keep_id_prefix(head);
+                framed.push(Framed::TooLong(self.take_oversize_id()));
+            } else {
+                self.line.extend_from_slice(head);
+                framed.push(Framed::Line(std::mem::take(&mut self.line)));
+            }
+        }
+        if !rest.is_empty() && !self.discarding {
+            if self.line.len() + rest.len() > MAX_LINE_BYTES {
+                // Stop buffering: the line already blew the cap; keep only
+                // its [`ID_PREFIX`]-byte head (for id recovery) until its
+                // newline.
+                self.keep_id_prefix(rest);
+                self.discarding = true;
+            } else {
+                self.line.extend_from_slice(rest);
+            }
+        }
+    }
+
+    /// Peer EOF: an unterminated trailing line still counts as a line.
+    fn finish(&mut self, framed: &mut Vec<Framed>) {
+        if self.discarding {
+            self.discarding = false;
+            framed.push(Framed::TooLong(self.take_oversize_id()));
+        } else if !self.line.is_empty() {
+            framed.push(Framed::Line(std::mem::take(&mut self.line)));
+        }
+    }
+
+    /// Whether part of a line has arrived without its newline.
+    fn mid_line(&self) -> bool {
+        self.discarding || !self.line.is_empty()
+    }
+
+    /// Truncates `line` to the oversize line's first [`ID_PREFIX`] bytes,
+    /// topping it up from `next` (the chunk that blew the cap) if the
+    /// buffered part was shorter than the prefix.
+    fn keep_id_prefix(&mut self, next: &[u8]) {
+        if self.line.len() < ID_PREFIX {
+            let want = ID_PREFIX - self.line.len();
+            self.line.extend_from_slice(&next[..want.min(next.len())]);
+        }
+        self.line.truncate(ID_PREFIX);
+    }
+
+    /// Consumes the retained oversize-line prefix, recovering its `"id"`.
+    fn take_oversize_id(&mut self) -> Option<Content> {
+        recover_line_id(&std::mem::take(&mut self.line))
+    }
+}
+
+struct Conn {
+    stream: TcpStream,
+    peer: IpAddr,
+    framer: Framer,
     /// When the current partial line started arriving (the slow-loris
     /// clock); `None` between lines.
     partial_since: Option<Instant>,
@@ -161,8 +245,7 @@ impl Conn {
         Conn {
             stream,
             peer,
-            line: Vec::new(),
-            discarding: false,
+            framer: Framer::default(),
             partial_since: None,
             out: Vec::new(),
             out_pos: 0,
@@ -188,7 +271,10 @@ struct Bucket {
 }
 
 struct Frontend {
-    service: Service,
+    backend: Backend,
+    /// Routed requests running now, each on a thread of its own (router
+    /// backend only).
+    routed: usize,
     opts: ServeOptions,
     tick: Duration,
     reactor: Reactor,
@@ -208,7 +294,7 @@ struct Frontend {
 
 impl Frontend {
     fn new(
-        service: Service,
+        backend: Backend,
         mut reactor: Reactor,
         listener: TcpListener,
         shutdown: Arc<AtomicBool>,
@@ -222,11 +308,14 @@ impl Frontend {
             Mode::Level,
         )?;
         let stats = Arc::new(FrontendStats::default());
-        service.attach_frontend_stats(Arc::clone(&stats));
+        if let Backend::Service(service) = &backend {
+            service.attach_frontend_stats(Arc::clone(&stats));
+        }
         let waker = reactor.waker();
         Ok(Frontend {
             tick: opts.poll.max(Duration::from_millis(1)),
-            service,
+            backend,
+            routed: 0,
             opts,
             waker,
             listener: Some(listener),
@@ -275,10 +364,12 @@ impl Frontend {
                 }
             }
         }
-        let grace_left = self.drain_deadline.map_or(Duration::ZERO, |d| {
-            d.saturating_duration_since(Instant::now())
-        });
-        self.service.drain(grace_left);
+        if let Backend::Service(service) = &self.backend {
+            let grace_left = self.drain_deadline.map_or(Duration::ZERO, |d| {
+                d.saturating_duration_since(Instant::now())
+            });
+            service.drain(grace_left);
+        }
         Ok(())
     }
 
@@ -303,7 +394,7 @@ impl Frontend {
         let ip = peer.ip();
         if self.conns.len() >= self.opts.max_conns {
             self.stats.shed_total_cap();
-            proto::shed_at_accept(stream, "server connection limit reached");
+            shed_at_accept(stream, "server connection limit reached");
             return;
         }
         if self
@@ -312,7 +403,7 @@ impl Frontend {
             .is_some_and(|&n| n >= self.opts.per_client_conns)
         {
             self.stats.shed_per_client();
-            proto::shed_at_accept(stream, "per-client connection limit reached");
+            shed_at_accept(stream, "per-client connection limit reached");
             return;
         }
         if stream.set_nonblocking(true).is_err() {
@@ -351,7 +442,7 @@ impl Frontend {
 
     fn conn_readable(&mut self, token: usize) {
         // Chaos-testing hook: `proto.read=err(...)` fails the read like a
-        // torn connection would (same site the threaded server honors).
+        // torn connection would.
         if read_failpoint().is_err() {
             self.drop_conn(token);
             return;
@@ -368,20 +459,13 @@ impl Frontend {
             }
             match conn.stream.read(&mut chunk[..READ_CHUNK.min(budget)]) {
                 Ok(0) => {
-                    // Peer EOF. An unterminated trailing line still counts
-                    // as a line (matching the blocking reader).
-                    if conn.discarding {
-                        conn.discarding = false;
-                        framed.push(Framed::TooLong(take_oversize_id(conn)));
-                    } else if !conn.line.is_empty() {
-                        framed.push(Framed::Line(std::mem::take(&mut conn.line)));
-                    }
+                    conn.framer.finish(&mut framed);
                     conn.read_closed = true;
                     break;
                 }
                 Ok(n) => {
                     budget -= n;
-                    frame_chunk(conn, &chunk[..n], &mut framed);
+                    conn.framer.push(&chunk[..n], &mut framed);
                 }
                 Err(e) if e.kind() == IoErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == IoErrorKind::Interrupted => continue,
@@ -395,7 +479,7 @@ impl Frontend {
         // that starts between sweeps arms its own wake-up at the exact
         // reap deadline — with a coarse sweep tick the reap would
         // otherwise slip by up to a whole tick past `read_timeout`.
-        if conn.line.is_empty() && !conn.discarding {
+        if !conn.framer.mid_line() {
             conn.partial_since = None;
         } else if conn.partial_since.is_none() {
             let since = Instant::now();
@@ -454,33 +538,16 @@ impl Frontend {
             // ignored), so responses are out-of-order like any pipelined
             // solve, one per query.
             (_, Ok(WireRequest::SolveBatch(batch))) => self.handle_batch(token, batch),
-            // Id-carrying requests dispatch immediately (out-of-order).
-            (Some(id), Ok(WireRequest::Metrics)) => {
-                let line = proto::encode_response_line(
-                    Some(&id),
-                    &WireResponse::Metrics(self.service.metrics()),
-                );
-                self.queue_response(token, &line);
-            }
-            (Some(id), Ok(WireRequest::Health)) => {
-                let response = WireResponse::Health(self.local_health());
-                let line = proto::encode_response_line(Some(&id), &response);
-                self.queue_response(token, &line);
-            }
-            // Epoch control-plane requests are synchronous cache/registry
-            // operations (no solver pool): evaluated inline, like Metrics.
-            (Some(id), Ok(request @ (WireRequest::Register(_) | WireRequest::Epoch(_)))) => {
-                let response = proto::dispatch(&self.service, request);
-                let line = proto::encode_response_line(Some(&id), &response);
-                self.queue_response(token, &line);
-            }
-            (Some(id), Ok(WireRequest::Solve(solve))) => {
-                if let Some(refused) = self.screen_solve(token, &solve) {
-                    let line = proto::encode_response_line(Some(&id), &refused);
-                    self.queue_response(token, &line);
-                    return;
+            // Id-carrying requests are evaluated immediately (out-of-order).
+            (Some(id), Ok(request)) => {
+                if let WireRequest::Solve(solve) = &request {
+                    if let Some(refused) = self.screen_solve(token, solve) {
+                        let line = proto::encode_response_line(Some(&id), &refused);
+                        self.queue_response(token, &line);
+                        return;
+                    }
                 }
-                self.dispatch_solve(token, Some(id), false, solve);
+                self.evaluate(token, Some(id), false, request);
             }
             // Id-less requests keep blocking-server semantics: strictly
             // in order, evaluated only when their turn comes.
@@ -537,15 +604,15 @@ impl Frontend {
                 self.queue_response(token, &line);
                 continue;
             }
-            self.dispatch_solve(
+            self.dispatch(
                 token,
                 Some(id),
                 false,
-                SolveRequest {
+                WireRequest::Solve(SolveRequest {
                     instance: query.instance,
                     deadline_ms: query.deadline_ms,
                     kernel: query.kernel,
-                },
+                }),
             );
         }
     }
@@ -604,8 +671,8 @@ impl Frontend {
     }
 
     /// Advances the connection's in-order stream: answers everything up
-    /// to (and excluding) the next `Solve`, then dispatches that solve
-    /// and pauses until its completion unblocks the queue.
+    /// to the next request that is handed off the loop, hands that one
+    /// off, and pauses until its completion unblocks the queue.
     fn pump_queue(&mut self, token: usize) {
         loop {
             let item = {
@@ -625,94 +692,135 @@ impl Frontend {
                     let line = proto::encode_response_line(None, &response);
                     self.queue_response(token, &line);
                 }
-                Queued::Request(WireRequest::Metrics) => {
-                    // Evaluated here, not at receipt: every earlier id-less
-                    // request has completed, so the snapshot observes them
-                    // exactly as the blocking server's did.
-                    let line = proto::encode_response_line(
-                        None,
-                        &WireResponse::Metrics(self.service.metrics()),
-                    );
-                    self.queue_response(token, &line);
-                }
-                Queued::Request(WireRequest::Health) => {
-                    let response = WireResponse::Health(self.local_health());
-                    let line = proto::encode_response_line(None, &response);
-                    self.queue_response(token, &line);
-                }
-                Queued::Request(WireRequest::Solve(solve)) => {
-                    if let Some(conn) = self.conns.get_mut(&token) {
-                        conn.ordered_busy = true;
-                    }
-                    self.dispatch_solve(token, None, true, solve);
-                    return;
-                }
-                Queued::Request(request @ (WireRequest::Register(_) | WireRequest::Epoch(_))) => {
-                    // In the ordered stream these wait their turn, so an
-                    // id-less client can Solve → Epoch → Solve and observe
-                    // the advance exactly between the two answers.
-                    let response = proto::dispatch(&self.service, request);
-                    let line = proto::encode_response_line(None, &response);
-                    self.queue_response(token, &line);
-                }
                 // Unreachable: batches fan out at receipt (handle_line)
                 // and never join the id-less ordered stream.
                 Queued::Request(WireRequest::SolveBatch(batch)) => {
                     self.handle_batch(token, batch);
                 }
+                // Evaluated here, not at receipt: every earlier id-less
+                // request has been answered, so a `Metrics` snapshot counts
+                // them, and an id-less client can Solve → Epoch → Solve and
+                // observe the advance exactly between the two answers.
+                Queued::Request(request) => {
+                    if self.evaluate(token, None, true, request) {
+                        if let Some(conn) = self.conns.get_mut(&token) {
+                            conn.ordered_busy = true;
+                        }
+                        return;
+                    }
+                }
             }
         }
     }
 
-    fn dispatch_solve(
+    /// Answers one request that is not a batch: inline when the backend
+    /// can do so without blocking the loop, otherwise through
+    /// [`Frontend::dispatch`]. Returns whether it was handed off; an
+    /// ordered request then holds its connection's queue until the answer
+    /// comes back.
+    fn evaluate(
         &mut self,
         token: usize,
         id: Option<Content>,
         ordered: bool,
-        solve: SolveRequest,
-    ) {
-        let depth = {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
-            conn.in_flight += 1;
-            conn.in_flight as u64
+        request: WireRequest,
+    ) -> bool {
+        let response = match (&self.backend, request) {
+            (_, WireRequest::Health) => self.health(),
+            // A service's metrics and epoch control plane are synchronous
+            // cache and registry operations that never touch the solver.
+            (Backend::Service(service), WireRequest::Metrics) => {
+                WireResponse::Metrics(service.metrics())
+            }
+            (
+                Backend::Service(service),
+                request @ (WireRequest::Register(_) | WireRequest::Epoch(_)),
+            ) => proto::dispatch(service, request),
+            (_, request) => return self.dispatch(token, id, ordered, request),
         };
-        self.stats.observe_pipeline_depth(depth);
-        let completions = Arc::clone(&self.completions);
-        let waker = self.waker.clone();
-        self.service.provision_async(
-            Request {
-                instance: solve.instance,
-                deadline: solve.deadline_ms.map(Duration::from_millis),
-                kernel: solve.kernel,
-            },
-            move |out| {
-                // Rendering happens on the worker, off the reactor thread.
-                let line = proto::encode_response_line(id.as_ref(), &solve_response(out));
-                lock_recover(&completions).push(Completion {
-                    token,
-                    line,
-                    ordered,
-                });
-                waker.wake();
-            },
-        );
+        let line = proto::encode_response_line(id.as_ref(), &response);
+        self.queue_response(token, &line);
+        false
     }
 
-    fn local_health(&self) -> crate::proto::HealthReply {
+    /// Hands `request` off the loop: a service solves it on its worker
+    /// pool, a router runs it on a thread of its own. The answer comes back
+    /// through the completion queue. Returns `false` when it was not handed
+    /// off: the connection is gone, or a router already has `max_conns`
+    /// requests in flight and answers `"shed"` at once. That cap keeps one
+    /// `SolveBatch` line from starting a thread per query.
+    fn dispatch(
+        &mut self,
+        token: usize,
+        id: Option<Content>,
+        ordered: bool,
+        request: WireRequest,
+    ) -> bool {
+        if matches!(self.backend, Backend::Router(_)) && self.routed >= self.opts.max_conns {
+            let shed = proto::wire_error(ErrorKind::Shed, "router in-flight limit reached");
+            let line = proto::encode_response_line(id.as_ref(), &shed);
+            self.queue_response(token, &line);
+            return false;
+        }
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return false;
+        };
+        conn.in_flight += 1;
+        self.stats.observe_pipeline_depth(conn.in_flight as u64);
+        let completions = Arc::clone(&self.completions);
+        let waker = self.waker.clone();
+        let complete = move |response: WireResponse| {
+            // Rendering happens off the reactor thread.
+            let line = proto::encode_response_line(id.as_ref(), &response);
+            lock_recover(&completions).push(Completion {
+                token,
+                line,
+                ordered,
+            });
+            waker.wake();
+        };
+        match (&self.backend, request) {
+            (Backend::Service(service), WireRequest::Solve(solve)) => service.provision_async(
+                Request {
+                    instance: solve.instance,
+                    deadline: solve.deadline_ms.map(Duration::from_millis),
+                    kernel: solve.kernel,
+                },
+                move |out| complete(solve_response(out)),
+            ),
+            // `evaluate` answers a service's other requests inline.
+            (Backend::Service(service), request) => complete(proto::dispatch(service, request)),
+            (Backend::Router(router), request) => {
+                self.routed += 1;
+                let router = router.clone();
+                std::thread::spawn(move || complete(route(&router, request)));
+            }
+        }
+        true
+    }
+
+    /// The `Health` answer: a replica's readiness, or the router's view of
+    /// its ring.
+    fn health(&self) -> WireResponse {
         self.stats.health_probe();
-        health_reply(
-            &self.service,
-            Some((self.conns.len() as u64, self.opts.max_conns as u64)),
-        )
+        match &self.backend {
+            Backend::Service(service) => WireResponse::Health(health_reply(
+                service,
+                Some((self.conns.len() as u64, self.opts.max_conns as u64)),
+            )),
+            Backend::Router(router) => WireResponse::Ring(router.ring_reply()),
+        }
     }
 
     fn apply_completions(&mut self) {
         let batch = std::mem::take(&mut *lock_recover(&self.completions));
         for done in batch {
+            if matches!(self.backend, Backend::Router(_)) {
+                // Every answer a router hands back is one routed request.
+                self.routed -= 1;
+            }
             let Some(conn) = self.conns.get_mut(&done.token) else {
-                continue; // the connection died while its solve ran
+                continue; // the connection died while its request ran
             };
             conn.in_flight -= 1;
             if done.ordered {
@@ -892,12 +1000,15 @@ impl Frontend {
         self.draining = true;
         self.drain_deadline = Some(saturating_deadline(now, self.opts.grace));
         // Stop accepting: deregister and close the listener so the port
-        // frees immediately, then flip the service (new solves shed, in-
-        // flight ones degrade to their cheapest rung and finish).
+        // frees immediately, then flip a service backend (new solves shed,
+        // in-flight ones degrade to their cheapest rung and finish). A
+        // router's routed requests end by their own deadlines.
         if let Some(listener) = self.listener.take() {
             let _ = self.reactor.deregister(listener.as_raw_fd());
         }
-        self.service.begin_shutdown();
+        if let Backend::Service(service) = &self.backend {
+            service.begin_shutdown();
+        }
         let idle: Vec<usize> = self
             .conns
             .iter()
@@ -908,52 +1019,6 @@ impl Frontend {
             self.drop_conn(token);
         }
     }
-}
-
-/// Feeds one read chunk through the incremental framer, appending
-/// complete lines (and oversize markers) to `framed`.
-fn frame_chunk(conn: &mut Conn, mut rest: &[u8], framed: &mut Vec<Framed>) {
-    while let Some(pos) = rest.iter().position(|&b| b == b'\n') {
-        let (head, tail) = rest.split_at(pos);
-        rest = &tail[1..];
-        if conn.discarding {
-            conn.discarding = false;
-            framed.push(Framed::TooLong(take_oversize_id(conn)));
-        } else if conn.line.len() + head.len() > MAX_LINE_BYTES {
-            keep_id_prefix(conn, head);
-            framed.push(Framed::TooLong(take_oversize_id(conn)));
-        } else {
-            conn.line.extend_from_slice(head);
-            framed.push(Framed::Line(std::mem::take(&mut conn.line)));
-        }
-    }
-    if !rest.is_empty() && !conn.discarding {
-        if conn.line.len() + rest.len() > MAX_LINE_BYTES {
-            // Stop buffering: the line already blew the cap; keep only its
-            // [`ID_PREFIX`]-byte head (for id recovery) until its newline.
-            keep_id_prefix(conn, rest);
-            conn.discarding = true;
-        } else {
-            conn.line.extend_from_slice(rest);
-        }
-    }
-}
-
-/// Truncates `conn.line` to the oversize line's first [`ID_PREFIX`] bytes,
-/// topping it up from `next` (the chunk that blew the cap) if the buffered
-/// part was shorter than the prefix.
-fn keep_id_prefix(conn: &mut Conn, next: &[u8]) {
-    if conn.line.len() < ID_PREFIX {
-        let want = ID_PREFIX - conn.line.len();
-        conn.line.extend_from_slice(&next[..want.min(next.len())]);
-    }
-    conn.line.truncate(ID_PREFIX);
-}
-
-/// Consumes the retained oversize-line prefix, recovering its `"id"`.
-fn take_oversize_id(conn: &mut Conn) -> Option<Content> {
-    let prefix = std::mem::take(&mut conn.line);
-    recover_line_id(&prefix)
 }
 
 /// Strictly parses the canonical pipelined-request head `{"id":<int>` out
@@ -994,9 +1059,147 @@ fn recover_line_id(prefix: &[u8]) -> Option<Content> {
     Some(Content::Int(if negative { -n } else { n }))
 }
 
+/// Answers one routed request, on a thread of its own. A panic in the
+/// router becomes an `"internal"` error, so the request is still answered
+/// and the loop's in-flight count still drops.
+fn route(router: &Router, request: WireRequest) -> WireResponse {
+    std::panic::catch_unwind(AssertUnwindSafe(|| match request {
+        WireRequest::Solve(solve) => router.route_solve(&solve),
+        WireRequest::Metrics => router.forward_metrics(),
+        WireRequest::Health => WireResponse::Ring(router.ring_reply()),
+        // Register and Epoch go to every replica. A SolveBatch never gets
+        // here whole: the loop routes it as one Solve per query.
+        request => router.broadcast(&request),
+    }))
+    .unwrap_or_else(|_| proto::wire_error(ErrorKind::Internal, "the router panicked"))
+}
+
+/// Best-effort `"shed"` error to a connection refused at accept, so the
+/// client learns *why* instead of seeing a bare RST. The socket is fresh
+/// (empty send buffer), so the bounded-timeout write virtually always
+/// lands without blocking the loop meaningfully.
+fn shed_at_accept(stream: TcpStream, message: &str) {
+    let line = proto::encode_response_line(None, &proto::wire_error(ErrorKind::Shed, message));
+    let _ = stream.set_nonblocking(false);
+    let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
+    let mut stream = stream;
+    let _ = proto::write_line(&mut stream, &line);
+}
+
 /// The `proto.read` failpoint as a fallible call site (the macro's `Err`
 /// form returns from the enclosing function).
 fn read_failpoint() -> std::io::Result<()> {
     krsp_failpoint::fail_point!("proto.read", |msg| Err(std::io::Error::other(msg)));
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::strategy::Strategy;
+
+    /// Frames `bytes` cut at `cuts` (offsets, any order, clamped), then
+    /// ends the stream.
+    fn frame(bytes: &[u8], cuts: &[usize]) -> Vec<Framed> {
+        let mut cuts: Vec<usize> = cuts.iter().map(|&c| c.min(bytes.len())).collect();
+        cuts.sort_unstable();
+        let mut framer = Framer::default();
+        let mut framed = Vec::new();
+        let mut start = 0;
+        for cut in cuts.into_iter().chain([bytes.len()]) {
+            framer.push(&bytes[start..cut], &mut framed);
+            start = cut;
+        }
+        framer.finish(&mut framed);
+        framed
+    }
+
+    proptest::proptest! {
+        /// Arbitrary bytes (a quarter of them newlines, so lines stay
+        /// short) frame into exactly the lines of one split on `\n`,
+        /// wherever the reads cut them. An unterminated tail is a line at
+        /// end of stream; an empty one is nothing.
+        #[test]
+        fn chunking_never_changes_the_lines(
+            bytes in proptest::collection::vec(
+                (0u8..=255, 0u8..4).prop_map(|(b, nl)| if nl == 0 { b'\n' } else { b }),
+                0..600,
+            ),
+            cuts in proptest::collection::vec(0usize..600, 0..24),
+        ) {
+            let mut expected: Vec<Framed> = bytes
+                .split(|&b| b == b'\n')
+                .map(|line| Framed::Line(line.to_vec()))
+                .collect();
+            if expected.last() == Some(&Framed::Line(Vec::new())) {
+                expected.pop();
+            }
+            proptest::prop_assert_eq!(frame(&bytes, &cuts), expected);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(12))]
+
+        /// A line longer than [`MAX_LINE_BYTES`] yields exactly one
+        /// `TooLong`, with its leading id recovered, and the lines around
+        /// it frame intact, wherever the reads cut the stream. Some cuts
+        /// land near the cap: whether a read ends before the line's
+        /// newline decides if the framer discards mid-line or at the
+        /// newline.
+        #[test]
+        fn an_oversize_line_is_one_too_long_at_any_cut(
+            over in 1usize..4096,
+            cuts in proptest::collection::vec(0usize..MAX_LINE_BYTES + 4200, 0..16),
+            near_cap in proptest::collection::vec(0usize..8192, 1..4),
+        ) {
+            let cuts: Vec<usize> = cuts
+                .into_iter()
+                .chain(near_cap.into_iter().map(|c| MAX_LINE_BYTES + c))
+                .collect();
+            let mut bytes = b"before\n{\"id\":7,\"Solve\":\"".to_vec();
+            bytes.resize(7 + MAX_LINE_BYTES + over, b'x');
+            bytes.extend_from_slice(b"\nafter\n");
+            let expected = vec![
+                Framed::Line(b"before".to_vec()),
+                Framed::TooLong(Some(Content::Int(7))),
+                Framed::Line(b"after".to_vec()),
+            ];
+            proptest::prop_assert_eq!(frame(&bytes, &cuts), expected);
+        }
+    }
+
+    #[test]
+    fn a_router_panic_is_answered_as_an_internal_error() {
+        let _fp = crate::sync_util::fp_lock();
+        krsp_failpoint::cfg("router.dial", "panic").expect("arm router.dial");
+        let router = Router::new(crate::router::RouterOptions {
+            replicas: vec!["127.0.0.1:1".to_string()],
+            ..crate::router::RouterOptions::default()
+        });
+        let graph = krsp_graph::DiGraph::from_edges(2, &[(0, 1, 1, 1)]);
+        let instance =
+            krsp::Instance::new(graph, krsp_graph::NodeId(0), krsp_graph::NodeId(1), 1, 5)
+                .expect("one-edge instance is well-formed");
+        let request = WireRequest::Solve(SolveRequest {
+            instance,
+            deadline_ms: Some(100),
+            kernel: None,
+        });
+        match route(&router, request) {
+            WireResponse::Error(e) => assert_eq!(e.kind, ErrorKind::Internal),
+            other => panic!("expected an internal error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_line_at_the_cap_frames_and_an_oversize_tail_is_one_too_long() {
+        let at_cap = vec![b'y'; MAX_LINE_BYTES];
+        let bytes = [at_cap.as_slice(), b"\n"].concat();
+        assert!(frame(&bytes, &[MAX_LINE_BYTES / 2]) == vec![Framed::Line(at_cap)]);
+        // Cut off by end of stream, still exactly one marker (no id: the
+        // line does not open with one).
+        let bytes = vec![b'z'; MAX_LINE_BYTES + 1];
+        assert!(frame(&bytes, &[READ_CHUNK, 3 * READ_CHUNK]) == vec![Framed::TooLong(None)]);
+    }
 }

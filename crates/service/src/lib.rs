@@ -4,8 +4,11 @@
 //! them in the shape a network controller actually deploys: a long-running
 //! service with **admission control**, a **solution cache**, and
 //! **deadline-aware degradation**, fronted by an in-process API
-//! ([`Service`]), a newline-delimited-JSON TCP listener ([`proto`]), and a
-//! load generator ([`load`], the `krsp-load` binary).
+//! ([`Service`]), a newline-delimited-JSON TCP listener ([`proto`]), a
+//! consistent-hash replica router ([`router`]), and a load generator
+//! ([`load`], the `krsp-load` binary). The replica server and the router
+//! run the same connection loop, a reactor that exists on unix only, so
+//! serving over TCP is unix-only too.
 //!
 //! * [`service`] — bounded admission queue with backpressure, worker pool
 //!   on the shared [`krsp::Executor`], per-request deadlines, debug-build
@@ -55,32 +58,6 @@ pub mod disk;
 pub mod epoch;
 #[cfg(unix)]
 mod frontend;
-#[cfg(not(unix))]
-mod frontend {
-    //! Stub for platforms without a poll facility: the caller falls back
-    //! to the threaded server.
-    use crate::proto::ServeOptions;
-    use std::net::TcpListener;
-    use std::sync::atomic::AtomicBool;
-    use std::sync::Arc;
-
-    pub(crate) type FallbackParts = (TcpListener, Arc<AtomicBool>, ServeOptions);
-
-    pub(crate) fn serve_event_driven(
-        _service: &crate::Service,
-        listener: TcpListener,
-        shutdown: Arc<AtomicBool>,
-        opts: ServeOptions,
-    ) -> Result<(), (std::io::Error, Option<FallbackParts>)> {
-        Err((
-            std::io::Error::new(
-                std::io::ErrorKind::Unsupported,
-                "no event backend on this platform",
-            ),
-            Some((listener, shutdown, opts)),
-        ))
-    }
-}
 pub mod hash;
 pub mod load;
 pub mod metrics;
@@ -105,16 +82,16 @@ pub use load::{
 };
 pub use metrics::{FrontendSnapshot, LatencyHistogram, MetricsSnapshot};
 pub use proto::{
-    decode_response_line, encode_request_with_id, health_reply, serve, serve_on,
-    serve_threaded_with_shutdown, serve_with_shutdown, EpochReply, EpochRequest, ErrorKind,
-    HealthReply, HealthStatus, RegisterRequest, RegisteredReply, ReplicaStatus, RingReply,
-    RungKernel, ServeOptions, SolveRequest, SolvedReply, WireChange, WireError, WireRequest,
-    WireResponse, MAX_LINE_BYTES,
+    decode_response_line, encode_request_with_id, health_reply, EpochReply, EpochRequest,
+    ErrorKind, HealthReply, HealthStatus, RegisterRequest, RegisteredReply, ReplicaStatus,
+    RingReply, RungKernel, ServeOptions, SolveRequest, SolvedReply, WireChange, WireError,
+    WireRequest, WireResponse, MAX_LINE_BYTES,
 };
+#[cfg(unix)]
+pub use proto::{serve_on, serve_with_shutdown};
 pub use quarantine::Quarantine;
-pub use router::{
-    resolve_seed, serve_ring_with_shutdown, RingState, Router, RouterOptions, DEFAULT_SEED,
-    SEED_ENV_VAR,
-};
+#[cfg(unix)]
+pub use router::serve_ring_with_shutdown;
+pub use router::{resolve_seed, RingState, Router, RouterOptions, DEFAULT_SEED, SEED_ENV_VAR};
 pub use service::{Rejection, Request, Response, Service, ServiceConfig};
 pub use singleflight::{Join, Leader, Singleflight};

@@ -1,12 +1,13 @@
-//! Newline-delimited-JSON TCP frontend.
+//! The newline-delimited-JSON wire protocol and the replica server.
 //!
-//! One request per line, one response per line. The default server (see
-//! [`serve_with_shutdown`]) is event-driven: a single reactor thread (the
-//! vendored `krsp-reactor` epoll/poll loop) multiplexes every connection,
-//! frames lines incrementally against [`MAX_LINE_BYTES`], and dispatches
-//! solves to the service's worker pool, so thousands of mostly-idle
-//! connections cost O(workers) threads — not one thread each. The wire
-//! enums are externally tagged, so a solve request looks like
+//! One request per line, one response per line. The server (see
+//! [`serve_with_shutdown`], unix only) is event-driven: a single reactor
+//! thread (the vendored `krsp-reactor` epoll/poll loop) multiplexes every
+//! connection, frames lines incrementally against [`MAX_LINE_BYTES`], and
+//! dispatches solves to the service's worker pool, so thousands of
+//! mostly-idle connections cost O(workers) threads — not one thread each.
+//! The replica-ring router runs the same loop. The wire enums are
+//! externally tagged, so a solve request looks like
 //!
 //! ```json
 //! {"Solve": {"instance": {...}, "deadline_ms": 250}}
@@ -18,8 +19,7 @@
 //! configured default, and the answering kernel is echoed back in every
 //! solved reply.
 //!
-//! `"Metrics"` (a bare string) fetches a
-//! [`MetricsSnapshot`](crate::metrics::MetricsSnapshot), and `"Health"`
+//! `"Metrics"` (a bare string) fetches a [`MetricsSnapshot`], and `"Health"`
 //! fetches a [`HealthReply`] (ready/draining/shedding plus width and cache
 //! counters) cheap enough for load-balancer probing. Malformed lines get
 //! an `"Error"` response carrying a machine-readable [`ErrorKind`]
@@ -35,25 +35,25 @@
 //! server — and every response to it echoes that id back verbatim as an
 //! `"id"` member, so clients can pipeline many in-flight requests and
 //! match the replies ([`encode_request_with_id`] /
-//! [`decode_response_line`] implement the client side). Requests without
-//! an id get the unchanged historical wire format.
+//! [`decode_response_line`] implement the client side). The bare-string
+//! requests take an id in map form, `{"id":7,"Health":null}`. Requests
+//! without an id get the unchanged historical wire format.
 //!
 //! [`serve_with_shutdown`] is the graceful entry point: on shutdown it
 //! stops accepting, flips the service into drain mode (see
 //! [`Service::begin_shutdown`]), answers the in-flight work, and bounds
-//! the whole farewell by a grace period. The previous thread-per-
-//! connection server survives as [`serve_threaded_with_shutdown`] — the
-//! A/B baseline and the fallback where no poll facility exists.
+//! the whole farewell by a grace period.
 
 use crate::degrade::{Guarantee, Rung};
 use crate::metrics::MetricsSnapshot;
 use crate::service::{Rejection, Request, Response, Service};
 use krsp::{Instance, KernelKind};
 use serde::{Content, Deserialize, Serialize};
-use std::io::{BufRead, BufReader, ErrorKind as IoErrorKind, Write};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::io::{BufRead, ErrorKind as IoErrorKind, Write};
+#[cfg(unix)]
+use std::net::TcpListener;
+#[cfg(unix)]
+use std::sync::{atomic::AtomicBool, Arc};
 use std::time::{Duration, Instant};
 
 /// Hard cap on one request line. A line longer than this is rejected with
@@ -232,8 +232,7 @@ impl Deserialize for BatchQuery {
 pub enum WireResponse {
     /// The request was provisioned.
     Solved(SolvedReply),
-    /// The request was rejected; the string names the
-    /// [`Rejection`](crate::service::Rejection).
+    /// The request was rejected; the string names the [`Rejection`].
     Rejected(String),
     /// Service counters.
     Metrics(MetricsSnapshot),
@@ -498,8 +497,8 @@ pub struct RingReply {
 
 /// Builds a [`HealthReply`] from the service's current state. `conn_caps`
 /// carries the frontend's `(open, max)` connection counts when serving
-/// over TCP; `None` (library/threaded use) bases shedding on admission
-/// pressure alone.
+/// over TCP; `None` (library use) bases shedding on admission pressure
+/// alone.
 #[must_use]
 pub fn health_reply(service: &Service, conn_caps: Option<(u64, u64)>) -> HealthReply {
     let m = service.metrics();
@@ -661,9 +660,9 @@ pub struct SolvedReply {
     pub deadline_missed: bool,
 }
 
-/// Maps a provisioning outcome onto the wire — the single point both the
-/// blocking and the event-driven frontends share, so solve payloads are
-/// bit-identical regardless of which server answered.
+/// Maps a provisioning outcome onto the wire — the single point the
+/// server, [`dispatch`] and [`dispatch_batch`] share, so solve payloads
+/// are bit-identical whichever path answered.
 #[must_use]
 pub(crate) fn solve_response(out: Result<Response, Rejection>) -> WireResponse {
     match out {
@@ -696,7 +695,7 @@ pub(crate) fn solve_response(out: Result<Response, Rejection>) -> WireResponse {
 /// Evaluates one already-parsed request against the service.
 ///
 /// [`WireRequest::SolveBatch`] does not fit the one-request/one-response
-/// shape — use [`dispatch_batch`] (or the NDJSON servers, which fan it out
+/// shape — use [`dispatch_batch`] (or the NDJSON server, which fans it out
 /// to one line per query); here it answers with a `"parse"` error.
 #[must_use]
 pub fn dispatch(service: &Service, request: WireRequest) -> WireResponse {
@@ -794,9 +793,6 @@ pub fn dispatch_line(service: &Service, line: &str) -> String {
             if batch.queries.is_empty() {
                 wire_error(ErrorKind::Parse, "empty SolveBatch: no queries")
             } else {
-                if let Some(stats) = service.frontend_stats() {
-                    stats.batch(batch.queries.len() as u64);
-                }
                 return dispatch_batch(service, batch)
                     .iter()
                     .map(|(id, response)| {
@@ -835,7 +831,8 @@ pub(crate) struct DecodedRequest {
 /// Splits the optional `"id"` member off a raw request line. The id (when
 /// the line parsed far enough to extract one) is returned even for
 /// unparseable requests, so the error response can still be matched by a
-/// pipelining client.
+/// pipelining client. What is left of `{"id":7,"Health":null}` reads as
+/// the bare string `"Health"`.
 pub(crate) fn decode_request_line(line: &str) -> DecodedRequest {
     let content = match serde_json::parse_value(line) {
         Ok(c) => c,
@@ -852,7 +849,10 @@ pub(crate) fn decode_request_line(line: &str) -> DecodedRequest {
                 .iter()
                 .position(|(key, _)| key == "id")
                 .map(|at| entries.remove(at).1);
-            (id, Content::Map(entries))
+            match entries.as_slice() {
+                [(tag, Content::Null)] => (id, Content::Str(tag.clone())),
+                _ => (id, Content::Map(entries)),
+            }
         }
         other => (None, other),
     };
@@ -883,15 +883,17 @@ pub(crate) fn encode_response_line(id: Option<&Content>, response: &WireResponse
 }
 
 /// Client-side encoder for a pipelined request: `request` with an `"id"`
-/// member spliced in (map-shaped requests only — i.e. [`WireRequest::Solve`];
-/// the bare-string requests cannot carry one and are answered in place).
+/// member spliced in. A bare-string request (`"Health"`, `"Metrics"`)
+/// takes its map form, `{"id":7,"Health":null}`.
 #[must_use]
 pub fn encode_request_with_id(id: u64, request: &WireRequest) -> String {
+    let id = ("id".to_string(), Content::Int(i128::from(id)));
     let content = match request.to_content() {
         Content::Map(mut entries) => {
-            entries.insert(0, ("id".to_string(), Content::Int(i128::from(id))));
+            entries.insert(0, id);
             Content::Map(entries)
         }
+        Content::Str(tag) => Content::Map(vec![id, (tag, Content::Null)]),
         other => other,
     };
     serde_json::to_string(&content).unwrap_or_else(|e| {
@@ -938,20 +940,6 @@ pub(crate) enum LineRead {
     Eof,
 }
 
-/// What to do when a read blocks (`WouldBlock`/`TimedOut` on a socket with
-/// a read timeout). The callback receives whether the reader is mid-line
-/// (`partial = true`: bytes of the current line have arrived but not its
-/// newline), letting the caller distinguish an idle keepalive connection
-/// from a stalled sender.
-pub(crate) enum BlockAction {
-    /// Keep waiting.
-    Retry,
-    /// Close the connection cleanly (reported as EOF).
-    Close,
-    /// Give up: surface the block as a `TimedOut` error.
-    Fail,
-}
-
 /// Writes `line` and its terminating newline in one `write_all`. A lone
 /// `"\n"` written after the line would be a segment of its own, and on a
 /// socket without `TCP_NODELAY` it waits out Nagle plus the peer's delayed
@@ -965,15 +953,13 @@ pub(crate) fn write_line(w: &mut impl Write, line: &str) -> std::io::Result<()> 
 
 /// Reads one `\n`-terminated line, buffering at most `max` bytes.
 ///
-/// `Interrupted` reads are always retried. A *blocked* read (`WouldBlock`
-/// / `TimedOut`) consults `on_block`, so callers set the stall policy: a
-/// plain blocking server retries forever, while the shutdown-aware server
-/// closes idle connections on drain and bounds how long a half-sent line
-/// may stall a thread.
+/// `Interrupted` reads are retried, and so is a read that blocks
+/// (`WouldBlock` / `TimedOut` on a socket with a read timeout) until
+/// `deadline`, when it fails with `TimedOut`.
 pub(crate) fn read_line_capped(
     reader: &mut impl BufRead,
     max: usize,
-    on_block: &mut dyn FnMut(bool) -> BlockAction,
+    deadline: Instant,
 ) -> std::io::Result<LineRead> {
     // Chaos-testing hook: `proto.read=err(...)` fails the read like a torn
     // connection would.
@@ -986,16 +972,13 @@ pub(crate) fn read_line_capped(
                 Ok(c) => c,
                 Err(e) if e.kind() == IoErrorKind::Interrupted => continue,
                 Err(e) if matches!(e.kind(), IoErrorKind::WouldBlock | IoErrorKind::TimedOut) => {
-                    match on_block(!line.is_empty() || discarding) {
-                        BlockAction::Retry => continue,
-                        BlockAction::Close => return Ok(LineRead::Eof),
-                        BlockAction::Fail => {
-                            return Err(std::io::Error::new(
-                                IoErrorKind::TimedOut,
-                                "read stalled past its budget",
-                            ))
-                        }
+                    if Instant::now() >= deadline {
+                        return Err(std::io::Error::new(
+                            IoErrorKind::TimedOut,
+                            "read stalled past its deadline",
+                        ));
                     }
+                    continue;
                 }
                 Err(e) => return Err(e),
             };
@@ -1044,26 +1027,24 @@ pub struct ServeOptions {
     /// Budget for a *mid-line* read stall before the connection is
     /// dropped; an idle connection (between lines) never times out.
     pub read_timeout: Duration,
-    /// Socket write timeout: a client that stops draining its responses
-    /// cannot pin a connection thread forever.
+    /// How long a client may leave its responses undrained before the
+    /// connection is dropped.
     pub write_timeout: Duration,
     /// How long shutdown waits for in-flight connections to finish before
     /// returning anyway.
     pub grace: Duration,
     /// Housekeeping tick: how often the server checks the shutdown flag
-    /// and enforces the stall timeouts. (In the threaded fallback, also
-    /// the per-read poll granularity.)
+    /// and enforces the stall timeouts.
     pub poll: Duration,
     /// Total open-connection cap; connections past it are answered with a
     /// `"shed"` error at accept and closed.
     pub max_conns: usize,
     /// Open-connection cap per client address; excess connections from one
-    /// address are shed at accept. (Event-driven server only.)
+    /// address are shed at accept.
     pub per_client_conns: usize,
     /// Token-bucket refill rate, in `Solve` requests per second per client
     /// address; `0` disables rate limiting. Refused requests get a
-    /// `"rate_limited"` error and the connection stays up. (Event-driven
-    /// server only.)
+    /// `"rate_limited"` error and the connection stays up.
     pub rate_per_sec: u64,
     /// Token-bucket burst capacity; `0` defaults to `2 × rate_per_sec`.
     pub rate_burst: u64,
@@ -1084,69 +1065,9 @@ impl Default for ServeOptions {
     }
 }
 
-fn handle_connection(
-    service: &Service,
-    stream: TcpStream,
-    shutdown: &AtomicBool,
-    opts: &ServeOptions,
-) -> std::io::Result<()> {
-    let tick = opts.poll.max(Duration::from_millis(1));
-    // A finite read timeout turns blocking reads into poll ticks, so the
-    // stall policy below runs even when no bytes arrive.
-    stream.set_read_timeout(Some(tick))?;
-    stream.set_write_timeout(Some(opts.write_timeout))?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    loop {
-        let mut stalled = Duration::ZERO;
-        let mut on_block = |partial: bool| {
-            if partial {
-                // A half-sent line: bounded patience, then drop — a
-                // stalled sender must not pin this thread forever.
-                stalled += tick;
-                if stalled >= opts.read_timeout {
-                    BlockAction::Fail
-                } else {
-                    BlockAction::Retry
-                }
-            } else if shutdown.load(Ordering::Acquire) {
-                // Idle between requests while draining: close cleanly. A
-                // request already in flight is not affected (we are here
-                // only when waiting for a *new* line).
-                BlockAction::Close
-            } else {
-                BlockAction::Retry
-            }
-        };
-        let reply = match read_line_capped(&mut reader, MAX_LINE_BYTES, &mut on_block)? {
-            LineRead::Eof => return Ok(()),
-            LineRead::TooLong => {
-                let msg = format!("request line exceeds {MAX_LINE_BYTES} bytes");
-                serde_json::to_string(&wire_error(ErrorKind::OversizeLine, msg))
-                    .expect("error response serializes")
-            }
-            LineRead::Line(raw) => {
-                let line = String::from_utf8_lossy(&raw);
-                if line.trim().is_empty() {
-                    continue;
-                }
-                dispatch_line(service, &line)
-            }
-        };
-        write_line(&mut writer, &reply)?;
-        writer.flush()?;
-    }
-}
-
-/// Binds `addr` and serves NDJSON connections forever on the event-driven
-/// frontend. Returns only on a listener/reactor error.
-pub fn serve<A: ToSocketAddrs>(service: &Service, addr: A) -> std::io::Result<()> {
-    let listener = TcpListener::bind(addr)?;
-    serve_on(service, listener)
-}
-
 /// Serves on an already-bound listener (lets callers report the chosen
 /// port, e.g. when binding port 0). Never shuts down on its own.
+#[cfg(unix)]
 pub fn serve_on(service: &Service, listener: TcpListener) -> std::io::Result<()> {
     serve_with_shutdown(
         service,
@@ -1161,95 +1082,27 @@ pub fn serve_on(service: &Service, listener: TcpListener) -> std::io::Result<()>
 /// in-flight solves degrade to their cheapest rung and complete), close
 /// idle connections, and wait up to [`ServeOptions::grace`] for busy ones.
 ///
-/// One reactor thread multiplexes every connection (see
-/// [`crate::frontend`]); solves run on the service's worker pool and
-/// responses complete out of order (match them by request id). The flag
-/// is typically set from a signal handler (`SIGTERM`/ctrl-c in `krsp-cli
-/// serve`), which cannot run service code itself — hence a plain atomic
-/// rather than a callback; the frontend's housekeeping tick
-/// ([`ServeOptions::poll`]) bounds how long the flip can go unnoticed.
-/// Returns once drained (or the grace lapsed), so the caller can flush
-/// final metrics before exiting.
-///
-/// Where no poll facility exists (non-Unix), falls back to
-/// [`serve_threaded_with_shutdown`].
+/// One reactor thread multiplexes every connection; solves run on the
+/// service's worker pool and responses complete out of order (match them
+/// by request id). The flag is typically set from a signal handler
+/// (`SIGTERM`/ctrl-c in `krsp-cli serve`), which cannot run service code
+/// itself — hence a plain atomic rather than a callback; the loop's
+/// housekeeping tick ([`ServeOptions::poll`]) bounds how long the flip
+/// can go unnoticed. Returns once drained (or the grace lapsed), so the
+/// caller can flush final metrics before exiting.
+#[cfg(unix)]
 pub fn serve_with_shutdown(
     service: &Service,
     listener: TcpListener,
     shutdown: Arc<AtomicBool>,
     opts: ServeOptions,
 ) -> std::io::Result<()> {
-    match crate::frontend::serve_event_driven(service, listener, shutdown, opts) {
-        Err((e, Some((listener, shutdown, opts)))) if e.kind() == IoErrorKind::Unsupported => {
-            serve_threaded_with_shutdown(service, listener, shutdown, opts)
-        }
-        Err((e, _)) => Err(e),
-        Ok(()) => Ok(()),
-    }
-}
-
-/// The previous thread-per-connection server: one OS thread per accepted
-/// connection, blocking reads with a poll-tick stall policy, in-order
-/// responses (ids are *not* echoed). Kept as the A/B baseline for the
-/// event-driven frontend and as the fallback where no poll facility
-/// exists; [`ServeOptions::max_conns`] is enforced (connections past the
-/// cap are shed at accept), but per-client caps and rate limits are not.
-pub fn serve_threaded_with_shutdown(
-    service: &Service,
-    listener: TcpListener,
-    shutdown: Arc<AtomicBool>,
-    opts: ServeOptions,
-) -> std::io::Result<()> {
-    listener.set_nonblocking(true)?;
-    let conns = Arc::new(AtomicUsize::new(0));
-    while !shutdown.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                // Connection sockets must not inherit the listener's
-                // nonblocking mode; handle_connection sets its own timeouts.
-                stream.set_nonblocking(false)?;
-                if conns.load(Ordering::Acquire) >= opts.max_conns {
-                    shed_at_accept(stream, "server connection limit reached");
-                    continue;
-                }
-                let service = service.clone();
-                let shutdown = Arc::clone(&shutdown);
-                let conns = Arc::clone(&conns);
-                let opts = opts.clone();
-                conns.fetch_add(1, Ordering::AcqRel);
-                std::thread::spawn(move || {
-                    let _ = handle_connection(&service, stream, &shutdown, &opts);
-                    conns.fetch_sub(1, Ordering::AcqRel);
-                });
-            }
-            Err(e) if e.kind() == IoErrorKind::WouldBlock => std::thread::sleep(opts.poll),
-            Err(e) if e.kind() == IoErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    // Drain phase: the listener stops accepting (dropped below), admitted
-    // work finishes fast (cancel tokens trip to the cheapest rung), idle
-    // connections close on their next poll tick.
-    drop(listener);
-    service.begin_shutdown();
-    let deadline = crate::sync_util::saturating_deadline(Instant::now(), opts.grace);
-    while conns.load(Ordering::Acquire) > 0 && Instant::now() < deadline {
-        std::thread::sleep(opts.poll.min(Duration::from_millis(10)));
-    }
-    service.drain(deadline.saturating_duration_since(Instant::now()));
-    Ok(())
-}
-
-/// Best-effort `"shed"` error to a connection refused at accept, so the
-/// client learns *why* instead of seeing a bare RST. The socket is fresh
-/// (empty send buffer), so the bounded-timeout write virtually always
-/// lands without blocking the acceptor meaningfully.
-pub(crate) fn shed_at_accept(stream: TcpStream, message: &str) {
-    let line = encode_response_line(None, &wire_error(ErrorKind::Shed, message));
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-    let mut stream = stream;
-    let _ = write_line(&mut stream, &line);
+    crate::frontend::serve(
+        crate::frontend::Backend::Service(service.clone()),
+        listener,
+        shutdown,
+        opts,
+    )
 }
 
 #[cfg(test)]
@@ -1259,6 +1112,8 @@ mod tests {
     use super::*;
     use crate::service::ServiceConfig;
     use krsp_graph::{DiGraph, NodeId};
+    use std::io::BufReader;
+    use std::net::TcpStream;
 
     fn inst(d: i64) -> Instance {
         let g = DiGraph::from_edges(4, &[(0, 1, 1, 5), (1, 3, 1, 5), (0, 2, 4, 1), (2, 3, 4, 1)]);
@@ -1593,19 +1448,20 @@ mod tests {
     fn capped_reader_handles_boundaries() {
         use std::io::Cursor;
 
+        let far = Instant::now() + Duration::from_secs(60);
         // Exactly at the cap: accepted.
         let data = [vec![b'a'; 16], b"\nrest\n".to_vec()].concat();
         let mut r = BufReader::new(Cursor::new(data));
-        match read_line_capped(&mut r, 16, &mut |_| BlockAction::Retry).unwrap() {
+        match read_line_capped(&mut r, 16, far).unwrap() {
             LineRead::Line(l) => assert_eq!(l.len(), 16),
             _ => panic!("line at the cap must pass"),
         }
-        match read_line_capped(&mut r, 16, &mut |_| BlockAction::Retry).unwrap() {
+        match read_line_capped(&mut r, 16, far).unwrap() {
             LineRead::Line(l) => assert_eq!(l, b"rest"),
             _ => panic!("next line must still parse"),
         }
         assert!(matches!(
-            read_line_capped(&mut r, 16, &mut |_| BlockAction::Retry).unwrap(),
+            read_line_capped(&mut r, 16, far).unwrap(),
             LineRead::Eof
         ));
 
@@ -1613,25 +1469,57 @@ mod tests {
         let data = [vec![b'b'; 17], b"\nok\n".to_vec()].concat();
         let mut r = BufReader::new(Cursor::new(data));
         assert!(matches!(
-            read_line_capped(&mut r, 16, &mut |_| BlockAction::Retry).unwrap(),
+            read_line_capped(&mut r, 16, far).unwrap(),
             LineRead::TooLong
         ));
-        match read_line_capped(&mut r, 16, &mut |_| BlockAction::Retry).unwrap() {
+        match read_line_capped(&mut r, 16, far).unwrap() {
             LineRead::Line(l) => assert_eq!(l, b"ok"),
             _ => panic!("stream must recover after a too-long line"),
         }
 
         // Unterminated final line and unterminated overflow at EOF.
         let mut r = BufReader::new(Cursor::new(b"tail".to_vec()));
-        match read_line_capped(&mut r, 16, &mut |_| BlockAction::Retry).unwrap() {
+        match read_line_capped(&mut r, 16, far).unwrap() {
             LineRead::Line(l) => assert_eq!(l, b"tail"),
             _ => panic!("unterminated final line is still a line"),
         }
         let mut r = BufReader::new(Cursor::new(vec![b'c'; 64]));
         assert!(matches!(
-            read_line_capped(&mut r, 16, &mut |_| BlockAction::Retry).unwrap(),
+            read_line_capped(&mut r, 16, far).unwrap(),
             LineRead::TooLong
         ));
+    }
+
+    #[test]
+    fn capped_reader_times_out_at_its_deadline() {
+        /// A source that never has a byte ready.
+        struct Stalled;
+        impl std::io::Read for Stalled {
+            fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+                Err(IoErrorKind::WouldBlock.into())
+            }
+        }
+        let deadline = Instant::now() + Duration::from_millis(20);
+        let err = read_line_capped(&mut BufReader::new(Stalled), 16, deadline)
+            .err()
+            .expect("a stalled read must fail");
+        assert_eq!(err.kind(), IoErrorKind::TimedOut);
+        assert!(Instant::now() >= deadline);
+    }
+
+    #[test]
+    fn bare_string_requests_carry_an_id_in_map_form() {
+        for request in [WireRequest::Health, WireRequest::Metrics] {
+            let line = encode_request_with_id(7, &request);
+            let tag = serde_json::to_string(&request).unwrap();
+            assert_eq!(line, format!("{{\"id\":7,{tag}:null}}"));
+            let decoded = decode_request_line(&line);
+            assert!(matches!(decoded.id, Some(Content::Int(7))), "{line}");
+            assert_eq!(
+                serde_json::to_string(&decoded.request.unwrap()).unwrap(),
+                tag
+            );
+        }
     }
 
     #[test]

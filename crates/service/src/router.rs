@@ -43,22 +43,23 @@
 //! replays produce identical retry traces ([`Router::take_trace`]).
 //!
 //! The router serves the same NDJSON wire protocol as a single replica,
-//! thread-per-connection with blocking I/O: the scaling frontier is the
-//! replica fleet behind it, not the router's own connection count.
+//! on the same connection loop (see [`serve_ring_with_shutdown`]): slow
+//! clients are reaped, oversize lines answered, and id'd requests
+//! pipelined exactly as on a replica. `Health` is answered inline from
+//! the ring view; every other request blocks on replica I/O, so each runs
+//! on a thread of its own, at most [`RouterOptions::max_conns`] at once.
 
 use crate::hash::canonical_key;
 use crate::metrics::LatencyHistogram;
 use crate::proto::{
-    decode_request_line, decode_response_line, encode_response_line, read_line_capped, wire_error,
-    write_line, BlockAction, EpochReply, ErrorKind, HealthReply, HealthStatus, LineRead,
-    RegisteredReply, ReplicaStatus, RingReply, SolveRequest, WireRequest, WireResponse,
-    MAX_LINE_BYTES,
+    decode_response_line, read_line_capped, wire_error, write_line, EpochReply, ErrorKind,
+    HealthReply, HealthStatus, LineRead, RegisteredReply, ReplicaStatus, RingReply, SolveRequest,
+    WireRequest, WireResponse, MAX_LINE_BYTES,
 };
 use crate::sync_util::{lock_recover, saturating_deadline};
-use serde::Content;
 use std::io::{BufReader, ErrorKind as IoErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -199,14 +200,18 @@ pub struct RouterOptions {
     pub seed: u64,
     /// Idle pooled connections kept per replica.
     pub pool_cap: usize,
-    /// Client-connection cap; connections past it are shed at accept.
+    /// Client-connection cap; connections past it are shed at accept. It
+    /// also caps the routed requests in flight: past it a request is
+    /// answered `"shed"` at once.
     pub max_conns: usize,
-    /// Accept-loop and client-read poll tick.
+    /// Housekeeping tick of the connection loop: how often it checks the
+    /// shutdown flag and the stall timeouts.
     pub poll: Duration,
     /// Budget for a mid-line client read stall before the connection is
     /// dropped.
     pub read_timeout: Duration,
-    /// Socket write timeout towards clients.
+    /// How long a client may leave its responses undrained before the
+    /// connection is dropped.
     pub write_timeout: Duration,
     /// How long shutdown waits for in-flight client connections.
     pub grace: Duration,
@@ -536,52 +541,6 @@ impl Router {
             hedges_fired: self.inner.stats.hedges_fired.load(Ordering::Acquire),
             hedges_won: self.inner.stats.hedges_won.load(Ordering::Acquire),
             rejected: self.inner.stats.rejected.load(Ordering::Acquire),
-        }
-    }
-
-    /// Evaluates one raw NDJSON request line against the ring, returning
-    /// the response line(s) without the trailing newline (a `SolveBatch`
-    /// yields one `\n`-joined line per query). The router-side equivalent
-    /// of [`crate::proto::dispatch_line`].
-    #[must_use]
-    pub fn handle_line(&self, line: &str) -> String {
-        let decoded = decode_request_line(line);
-        let id = decoded.id;
-        match decoded.request {
-            Err(msg) => encode_response_line(id.as_ref(), &wire_error(ErrorKind::Parse, msg)),
-            Ok(WireRequest::SolveBatch(batch)) => {
-                if batch.queries.is_empty() {
-                    return encode_response_line(
-                        id.as_ref(),
-                        &wire_error(ErrorKind::Parse, "empty SolveBatch: no queries"),
-                    );
-                }
-                // Each query routes by its own digest — a batch fans out
-                // across the ring rather than pinning to one replica.
-                batch
-                    .queries
-                    .into_iter()
-                    .map(|q| {
-                        let response = self.route_solve(&SolveRequest {
-                            instance: q.instance,
-                            deadline_ms: q.deadline_ms,
-                            kernel: q.kernel,
-                        });
-                        encode_response_line(Some(&Content::Int(i128::from(q.id))), &response)
-                    })
-                    .collect::<Vec<_>>()
-                    .join("\n")
-            }
-            Ok(WireRequest::Solve(solve)) => {
-                encode_response_line(id.as_ref(), &self.route_solve(&solve))
-            }
-            Ok(WireRequest::Health) => {
-                encode_response_line(id.as_ref(), &WireResponse::Ring(self.ring_reply()))
-            }
-            Ok(WireRequest::Metrics) => encode_response_line(id.as_ref(), &self.forward_metrics()),
-            Ok(req @ (WireRequest::Register(_) | WireRequest::Epoch(_))) => {
-                encode_response_line(id.as_ref(), &self.broadcast(&req))
-            }
         }
     }
 
@@ -1007,13 +966,7 @@ impl Router {
         conn.flush()?;
         conn.set_read_timeout(Some(READ_TICK))?;
         let mut reader = BufReader::new(&mut *conn);
-        match read_line_capped(&mut reader, MAX_LINE_BYTES, &mut |_partial| {
-            if Instant::now() >= deadline {
-                BlockAction::Fail
-            } else {
-                BlockAction::Retry
-            }
-        })? {
+        match read_line_capped(&mut reader, MAX_LINE_BYTES, deadline)? {
             LineRead::Line(raw) => String::from_utf8(raw)
                 .map_err(|_| std::io::Error::other("replica sent a non-UTF-8 reply")),
             LineRead::TooLong => Err(std::io::Error::other("replica reply exceeds the line cap")),
@@ -1034,7 +987,7 @@ impl Router {
 
     /// Forwards a `Metrics` request to the first live replica (the ring
     /// has no aggregate metrics; per-replica counters are what exist).
-    fn forward_metrics(&self) -> WireResponse {
+    pub(crate) fn forward_metrics(&self) -> WireResponse {
         let deadline = saturating_deadline(Instant::now(), self.inner.opts.default_deadline);
         let all: Vec<usize> = (0..self.inner.replicas.len()).collect();
         for idx in self.live_or_all(&all) {
@@ -1052,7 +1005,7 @@ impl Router {
     /// merges the replies (`Register`: the first digest, which is
     /// content-addressed and therefore identical everywhere; `Epoch`:
     /// max epoch, summed sweep counters).
-    fn broadcast(&self, request: &WireRequest) -> WireResponse {
+    pub(crate) fn broadcast(&self, request: &WireRequest) -> WireResponse {
         let line = match serde_json::to_string(request) {
             Ok(line) => line,
             Err(e) => return wire_error(ErrorKind::Internal, format!("encode failed: {e}")),
@@ -1146,13 +1099,7 @@ impl Router {
         conn.flush()?;
         conn.set_read_timeout(Some(READ_TICK))?;
         let mut reader = BufReader::new(&mut conn);
-        let raw = match read_line_capped(&mut reader, MAX_LINE_BYTES, &mut |_partial| {
-            if Instant::now() >= deadline {
-                BlockAction::Fail
-            } else {
-                BlockAction::Retry
-            }
-        })? {
+        let raw = match read_line_capped(&mut reader, MAX_LINE_BYTES, deadline)? {
             LineRead::Line(raw) => raw,
             LineRead::TooLong | LineRead::Eof => {
                 return Err(std::io::Error::other("probe got no reply line"))
@@ -1188,94 +1135,39 @@ impl Router {
     }
 }
 
-/// Serves the router on `listener` until `shutdown` flips: thread per
-/// client connection, blocking reads with the same stall policy as the
-/// threaded replica server, plus the active prober. On shutdown the
-/// listener closes, in-flight client connections get
-/// [`RouterOptions::grace`] to finish, and the prober joins.
+/// Serves the router on `listener` until `shutdown` flips, on the same
+/// connection loop as a replica (see [`crate::serve_with_shutdown`]) with
+/// the ring as its backend, plus the active prober. The loop's options
+/// come from [`RouterOptions::max_conns`], `poll`, `read_timeout`,
+/// `write_timeout` and `grace`; `max_conns` also bounds the routed
+/// requests in flight. On shutdown the listener closes, in-flight client
+/// requests get [`RouterOptions::grace`] to finish, and the prober joins.
+#[cfg(unix)]
 pub fn serve_ring_with_shutdown(
     router: &Router,
-    listener: TcpListener,
+    listener: std::net::TcpListener,
     shutdown: Arc<AtomicBool>,
 ) -> std::io::Result<()> {
-    listener.set_nonblocking(true)?;
-    let opts = router.options().clone();
+    let opts = router.options();
+    let serve = crate::proto::ServeOptions {
+        read_timeout: opts.read_timeout,
+        write_timeout: opts.write_timeout,
+        grace: opts.grace,
+        poll: opts.poll,
+        max_conns: opts.max_conns,
+        // The router caps connections in total, not per client address.
+        per_client_conns: opts.max_conns,
+        ..crate::proto::ServeOptions::default()
+    };
     let prober = router.spawn_prober(Arc::clone(&shutdown));
-    let conns = Arc::new(AtomicUsize::new(0));
-    while !shutdown.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                stream.set_nonblocking(false)?;
-                if conns.load(Ordering::Acquire) >= opts.max_conns {
-                    crate::proto::shed_at_accept(stream, "router connection limit reached");
-                    continue;
-                }
-                let router = router.clone();
-                let shutdown = Arc::clone(&shutdown);
-                let conns = Arc::clone(&conns);
-                conns.fetch_add(1, Ordering::AcqRel);
-                std::thread::spawn(move || {
-                    let _ = handle_client(&router, stream, &shutdown);
-                    conns.fetch_sub(1, Ordering::AcqRel);
-                });
-            }
-            Err(e) if e.kind() == IoErrorKind::WouldBlock => std::thread::sleep(opts.poll),
-            Err(e) if e.kind() == IoErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    drop(listener);
-    let deadline = saturating_deadline(Instant::now(), opts.grace);
-    while conns.load(Ordering::Acquire) > 0 && Instant::now() < deadline {
-        std::thread::sleep(opts.poll.min(Duration::from_millis(10)));
-    }
+    crate::frontend::serve(
+        crate::frontend::Backend::Router(router.clone()),
+        listener,
+        shutdown,
+        serve,
+    )?;
     let _ = prober.join();
     Ok(())
-}
-
-/// One client connection: read request lines, answer each through the
-/// ring. Mirrors the threaded replica server's stall policy (idle
-/// connections close on drain; a half-sent line gets bounded patience).
-fn handle_client(router: &Router, stream: TcpStream, shutdown: &AtomicBool) -> std::io::Result<()> {
-    let opts = router.options();
-    let tick = opts.poll.max(Duration::from_millis(1));
-    stream.set_read_timeout(Some(tick))?;
-    stream.set_write_timeout(Some(opts.write_timeout))?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    loop {
-        let mut stalled = Duration::ZERO;
-        let mut on_block = |partial: bool| {
-            if partial {
-                stalled += tick;
-                if stalled >= opts.read_timeout {
-                    BlockAction::Fail
-                } else {
-                    BlockAction::Retry
-                }
-            } else if shutdown.load(Ordering::Acquire) {
-                BlockAction::Close
-            } else {
-                BlockAction::Retry
-            }
-        };
-        let reply = match read_line_capped(&mut reader, MAX_LINE_BYTES, &mut on_block)? {
-            LineRead::Eof => return Ok(()),
-            LineRead::TooLong => {
-                let msg = format!("request line exceeds {MAX_LINE_BYTES} bytes");
-                encode_response_line(None, &wire_error(ErrorKind::OversizeLine, msg))
-            }
-            LineRead::Line(raw) => {
-                let line = String::from_utf8_lossy(&raw);
-                if line.trim().is_empty() {
-                    continue;
-                }
-                router.handle_line(&line)
-            }
-        };
-        write_line(&mut writer, &reply)?;
-        writer.flush()?;
-    }
 }
 
 #[cfg(test)]

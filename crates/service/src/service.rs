@@ -16,7 +16,7 @@
 //!    workers, so coalescing cannot deadlock the pool.
 //! 4. **Ladder** — the leader picks the highest degradation rung the
 //!    *remaining* deadline admits (see [`crate::degrade`]) and solves on
-//!    the shared [`Executor`](krsp::Executor) — the same scheduling
+//!    the shared [`Executor`] — the same scheduling
 //!    primitive `krsp::solve_batch` fans out over. Admitted requests are
 //!    never dropped: an exhausted deadline degrades to the min-delay rung
 //!    rather than failing.
@@ -675,14 +675,6 @@ impl Service {
         *lock_recover(&self.shared.frontend) = Some(stats);
     }
 
-    /// The attached frontend counters, if a frontend has registered any —
-    /// how non-reactor entry points (the threaded server's `SolveBatch`
-    /// fan-out) account the traffic they serve.
-    #[must_use]
-    pub fn frontend_stats(&self) -> Option<Arc<FrontendStats>> {
-        lock_recover(&self.shared.frontend).clone()
-    }
-
     /// The service configuration.
     #[must_use]
     pub fn config(&self) -> &ServiceConfig {
@@ -1250,6 +1242,7 @@ mod tests {
 
     #[test]
     fn disk_tier_answers_across_a_restart() {
+        let _fp = crate::sync_util::fp_lock();
         let dir = std::env::temp_dir().join(format!("krsp-svc-disk-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cfg = ServiceConfig {
@@ -1283,6 +1276,7 @@ mod tests {
     #[test]
     fn restart_with_drifted_weights_never_serves_stale_scoped_records() {
         use krsp_graph::EdgeId;
+        let _fp = crate::sync_util::fp_lock();
         let dir = std::env::temp_dir().join(format!("krsp-svc-drift-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cfg = ServiceConfig {
@@ -1341,6 +1335,7 @@ mod tests {
 
     #[test]
     fn quarantine_activation_purges_the_disk_record() {
+        let _fp = crate::sync_util::fp_lock();
         let dir = std::env::temp_dir().join(format!("krsp-svc-quar-disk-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let svc = Service::new(ServiceConfig {

@@ -13,6 +13,9 @@ cargo fmt --check
 echo "== cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc --workspace -- -D warnings (doc links must resolve)"
+RUSTDOCFLAGS='-D warnings' cargo doc --workspace --no-deps --offline
+
 echo "== cargo test -q --workspace (KRSP_THREADS=1: sequential oracle)"
 KRSP_THREADS=1 cargo test -q --workspace
 

@@ -1,26 +1,29 @@
 //! `krsp-cli` — solve kRSP instances from JSON files.
 //!
 //! Usage:
-//!   krsp-cli solve <instance.json> [--single-probe] [--lp-engine] [--eps N/D]
-//!                  [--threads T]
-//!   krsp-cli gen <family> <n> <k> <tightness> <seed> <out.json>
-//!   krsp-cli info <instance.json>
-//!   krsp-cli serve <addr> [--workers W] [--queue Q] [--cache CAP]
-//!                  [--shards S] [--no-coalesce] [--threads T]
-//!                  [--deadline-ms MS] [--strict-deadlines]
-//!                  [--grace-ms MS] [--max-conns N] [--per-client-conns N]
-//!                  [--rate R] [--rate-burst B] [--threaded]
-//!                  [--kernel classic|interval]
-//!                  [--cache-dir DIR] [--cache-disk-cap BYTES]
-//!   krsp-cli load [krsp-load flags...]
-//!   krsp-cli route <addr> --replicas A,B,C [--vnodes N] [--seed S]
-//!                  [--probe-ms MS] [--probe-timeout-ms MS]
-//!                  [--dial-timeout-ms MS] [--deadline-ms MS]
-//!                  [--degrade-after N] [--down-after N] [--revive-after N]
-//!                  [--backoff-ms MS] [--backoff-cap-ms MS]
-//!                  [--hedge] [--hedge-quantile Q] [--hedge-min-ms MS]
-//!                  [--hedge-warmup N] [--pool N] [--max-conns N]
-//!                  [--grace-ms MS]
+//!
+//! ```text
+//! krsp-cli solve <instance.json> [--single-probe] [--lp-engine] [--eps N/D]
+//!                [--threads T]
+//! krsp-cli gen <family> <n> <k> <tightness> <seed> <out.json>
+//! krsp-cli info <instance.json>
+//! krsp-cli serve <addr> [--workers W] [--queue Q] [--cache CAP]
+//!                [--shards S] [--no-coalesce] [--threads T]
+//!                [--deadline-ms MS] [--strict-deadlines]
+//!                [--grace-ms MS] [--max-conns N] [--per-client-conns N]
+//!                [--rate R] [--rate-burst B]
+//!                [--kernel classic|interval]
+//!                [--cache-dir DIR] [--cache-disk-cap BYTES]
+//! krsp-cli load [krsp-load flags...]
+//! krsp-cli route <addr> --replicas A,B,C [--vnodes N] [--seed S]
+//!                [--probe-ms MS] [--probe-timeout-ms MS]
+//!                [--dial-timeout-ms MS] [--deadline-ms MS]
+//!                [--degrade-after N] [--down-after N] [--revive-after N]
+//!                [--backoff-ms MS] [--backoff-cap-ms MS]
+//!                [--hedge] [--hedge-quantile Q] [--hedge-min-ms MS]
+//!                [--hedge-warmup N] [--pool N] [--max-conns N]
+//!                [--grace-ms MS]
+//! ```
 //!
 //! `--threads T` (or the `KRSP_THREADS` env var) sets the solver's
 //! data-parallel width — the rayon pool behind the bicameral seed scan and
@@ -33,10 +36,9 @@
 //! request per line: `{"Solve": {"instance": {...}, "deadline_ms": 250}}`,
 //! `{"SolveBatch": {"queries": [{"id": 1, "instance": {...},
 //! "deadline_ms": 250}, ...]}}` (one line in, one id-matched response
-//! line per query out), `"Metrics"`, or `"Health"`. The default frontend
-//! is event-driven (one reactor thread multiplexing every connection;
-//! requests may carry ids and pipeline); `--threaded` selects the legacy thread-per-connection
-//! server for A/B comparison. `--max-conns` / `--per-client-conns` cap
+//! line per query out), `"Metrics"`, or `"Health"`. The server is
+//! event-driven (one reactor thread multiplexing every connection;
+//! requests may carry ids and pipeline). `--max-conns` / `--per-client-conns` cap
 //! open connections (excess accepts are answered with a `"shed"` error
 //! and closed) and `--rate R` token-buckets each client address to R
 //! solves/s (burst `--rate-burst`, default 2R; excess gets
@@ -69,13 +71,21 @@
 //! arms tail-latency hedging: when a solve outlives the observed
 //! `--hedge-quantile` latency, a second copy goes to the next ring
 //! replica and the first answer wins. A `"Health"` request to the router
-//! answers with per-replica ring states and router counters.
+//! answers with per-replica ring states and router counters. The router
+//! runs the same connection loop as `serve`; `--max-conns` caps both its
+//! client connections and its routed requests in flight (past it a
+//! request is answered `"shed"`).
+//!
+//! `serve` and `route` need a unix host: the connection loop runs on
+//! epoll or poll(2).
 
-use krsp_service::{serve_with_shutdown, ServeOptions, Service, ServiceConfig};
 use krsp_suite::krsp::{self, solve, solve_scaled, Config, Engine, Eps};
 use krsp_suite::krsp_gen::{self, Family, Regime, Workload};
+#[cfg(unix)]
 use std::sync::atomic::{AtomicBool, Ordering};
+#[cfg(unix)]
 use std::sync::Arc;
+#[cfg(unix)]
 use std::time::Duration;
 
 fn fail(msg: &str) -> ! {
@@ -89,7 +99,9 @@ fn main() {
         Some("solve") => cmd_solve(&args[1..]),
         Some("gen") => cmd_gen(&args[1..]),
         Some("info") => cmd_info(&args[1..]),
+        #[cfg(unix)]
         Some("serve") => cmd_serve(&args[1..]),
+        #[cfg(unix)]
         Some("route") => cmd_route(&args[1..]),
         Some("load") => cmd_load(&args[1..]),
         _ => {
@@ -200,7 +212,10 @@ fn cmd_gen(args: &[String]) {
     );
 }
 
+#[cfg(unix)]
 fn cmd_serve(args: &[String]) {
+    use krsp_service::{serve_with_shutdown, ServeOptions, Service, ServiceConfig};
+
     let Some(addr) = args.first() else {
         fail("serve needs a bind address, e.g. 127.0.0.1:7447")
     };
@@ -214,7 +229,6 @@ fn cmd_serve(args: &[String]) {
     }
     let mut cfg = ServiceConfig::default();
     let mut opts = ServeOptions::default();
-    let mut threaded = false;
     let mut it = args[1..].iter();
     while let Some(a) = it.next() {
         fn arg<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> T {
@@ -250,7 +264,6 @@ fn cmd_serve(args: &[String]) {
             "--per-client-conns" => opts.per_client_conns = arg(a, it.next()),
             "--rate" => opts.rate_per_sec = arg(a, it.next()),
             "--rate-burst" => opts.rate_burst = arg(a, it.next()),
-            "--threaded" => threaded = true,
             other => fail(&format!("unknown flag {other}")),
         }
     }
@@ -304,12 +317,7 @@ fn cmd_serve(args: &[String]) {
     }) {
         fail(&format!("cannot install signal handler: {e}"));
     }
-    let served = if threaded {
-        krsp_service::serve_threaded_with_shutdown(&service, listener, Arc::clone(&shutdown), opts)
-    } else {
-        serve_with_shutdown(&service, listener, Arc::clone(&shutdown), opts)
-    };
-    if let Err(e) = served {
+    if let Err(e) = serve_with_shutdown(&service, listener, Arc::clone(&shutdown), opts) {
         fail(&format!("listener failed: {e}"));
     }
     // Flush the final counters so an orchestrator tearing the pod down
@@ -332,6 +340,7 @@ fn cmd_serve(args: &[String]) {
     let _ = writeln!(std::io::stdout(), "krsp-service: drained and stopped");
 }
 
+#[cfg(unix)]
 fn cmd_route(args: &[String]) {
     use krsp_service::{resolve_seed, serve_ring_with_shutdown, Router, RouterOptions};
 

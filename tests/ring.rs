@@ -11,12 +11,20 @@
 //! a hedged send's loser is cancelled and counted, and two identical
 //! chaos replays emit identical retry traces (the jitter is a pure
 //! function of the seed).
+//!
+//! The router's own listener is driven over TCP too: pipelined requests
+//! are answered out of order by id, a slow-loris client is reaped while a
+//! neighbour is served, an oversize line gets an id-matched error, and a
+//! routed request past the in-flight cap is shed.
 
-use krsp_service::proto::{self, ServeOptions, SolveRequest, WireResponse};
-use krsp_service::{ErrorKind, RingState, Router, RouterOptions, Service, ServiceConfig};
+use krsp_service::proto::{self, ServeOptions, SolveRequest, WireRequest, WireResponse};
+use krsp_service::{
+    serve_ring_with_shutdown, ErrorKind, RingState, Router, RouterOptions, Service, ServiceConfig,
+};
 use krsp_suite::krsp::Instance;
 use krsp_suite::krsp_graph::{DiGraph, NodeId};
-use std::net::TcpListener;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
@@ -80,7 +88,7 @@ impl Replica {
         let server = {
             let (service, shutdown) = (service.clone(), Arc::clone(&shutdown));
             std::thread::spawn(move || {
-                proto::serve_threaded_with_shutdown(
+                proto::serve_with_shutdown(
                     &service,
                     listener,
                     shutdown,
@@ -348,6 +356,198 @@ fn identical_chaos_replays_emit_identical_retry_traces() {
     );
 }
 
+/// A router serving on loopback through `serve_ring_with_shutdown`; it
+/// stops and joins on drop.
+struct RingServer {
+    addr: SocketAddr,
+    shutdown: Arc<AtomicBool>,
+    server: Option<std::thread::JoinHandle<std::io::Result<()>>>,
+}
+
+impl RingServer {
+    fn start(router: Router) -> RingServer {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind router");
+        let addr = listener.local_addr().expect("router addr");
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&shutdown);
+        let server = std::thread::spawn(move || serve_ring_with_shutdown(&router, listener, flag));
+        RingServer {
+            addr,
+            shutdown,
+            server: Some(server),
+        }
+    }
+
+    fn connect(&self) -> BufReader<TcpStream> {
+        BufReader::new(TcpStream::connect(self.addr).expect("dial router"))
+    }
+}
+
+impl Drop for RingServer {
+    fn drop(&mut self) {
+        self.shutdown.store(true, Ordering::Release);
+        if let Some(server) = self.server.take() {
+            server
+                .join()
+                .expect("router thread exits")
+                .expect("router drains cleanly");
+        }
+    }
+}
+
+/// A router over `replica` with a quick housekeeping tick.
+fn ring_over(replica: &Replica, tweak: impl FnOnce(&mut RouterOptions)) -> RingServer {
+    RingServer::start(router_over(&[replica], |opts| {
+        opts.poll = Duration::from_millis(5);
+        tweak(opts);
+    }))
+}
+
+fn send(conn: &mut BufReader<TcpStream>, lines: &[String]) {
+    let text: String = lines.iter().map(|line| format!("{line}\n")).collect();
+    conn.get_mut()
+        .write_all(text.as_bytes())
+        .expect("write request lines");
+}
+
+fn read_reply(conn: &mut BufReader<TcpStream>) -> (Option<u64>, WireResponse) {
+    let mut line = String::new();
+    let n = conn.read_line(&mut line).expect("read reply");
+    assert!(n > 0, "the router closed the connection");
+    proto::decode_response_line(line.trim()).expect("reply parses")
+}
+
+fn id_solve(id: u64, d: i64) -> String {
+    proto::encode_request_with_id(id, &WireRequest::Solve(solve_req(d)))
+}
+
+#[test]
+fn pipelined_health_overtakes_a_held_routed_solve() {
+    let _fp = fp_lock();
+    let replica = Replica::start();
+    let ring = ring_over(&replica, |_| {});
+    let mut conn = ring.connect();
+
+    // The replica holds every fresh solve; the router must keep reading
+    // the connection and answer the Health behind the solve first.
+    krsp_failpoint::cfg("service.solve", "delay(200)").expect("arm service.solve");
+    send(
+        &mut conn,
+        &[
+            id_solve(1, 20),
+            proto::encode_request_with_id(2, &WireRequest::Health),
+        ],
+    );
+    let (id, first) = read_reply(&mut conn);
+    assert_eq!(id, Some(2), "the Health waited behind the solve: {first:?}");
+    assert!(
+        matches!(first, WireResponse::Ring(_)),
+        "the router answers Health with its ring view: {first:?}"
+    );
+    let (id, second) = read_reply(&mut conn);
+    assert_eq!(id, Some(1));
+    assert!(
+        matches!(second, WireResponse::Solved(_)),
+        "the held solve still completes: {second:?}"
+    );
+}
+
+#[test]
+fn slow_loris_is_reaped_while_a_neighbour_is_answered() {
+    let _fp = fp_lock();
+    let replica = Replica::start();
+    let ring = ring_over(&replica, |opts| {
+        opts.read_timeout = Duration::from_millis(250);
+    });
+
+    // The loris: half a request line, then silence.
+    let mut loris = ring.connect();
+    loris
+        .get_mut()
+        .write_all(b"{\"Solve\": {\"inst")
+        .expect("write partial line");
+
+    let mut good = ring.connect();
+    send(&mut good, &[id_solve(1, 20)]);
+    let (id, reply) = read_reply(&mut good);
+    assert_eq!(id, Some(1));
+    assert!(
+        matches!(reply, WireResponse::Solved(_)),
+        "the neighbour must be served during the loris stall: {reply:?}"
+    );
+
+    loris
+        .get_mut()
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("set client read timeout");
+    let mut buf = [0u8; 16];
+    let n = loris.get_mut().read(&mut buf).expect("loris read");
+    assert_eq!(n, 0, "the router must close the stalled connection");
+
+    send(&mut good, &[id_solve(2, 21)]);
+    let (id, reply) = read_reply(&mut good);
+    assert_eq!(id, Some(2));
+    assert!(matches!(reply, WireResponse::Solved(_)), "{reply:?}");
+}
+
+#[test]
+fn oversize_line_gets_an_id_matched_error_and_the_connection_keeps_serving() {
+    let _fp = fp_lock();
+    let replica = Replica::start();
+    let ring = ring_over(&replica, |_| {});
+    let mut conn = ring.connect();
+
+    let mut oversize = String::from("{\"id\":7,\"Solve\":\"");
+    oversize.push_str(&"x".repeat(proto::MAX_LINE_BYTES + 1024));
+    send(&mut conn, &[oversize, id_solve(8, 20)]);
+    let (id, reply) = read_reply(&mut conn);
+    assert_eq!(id, Some(7), "the oversize error must carry its id");
+    match reply {
+        WireResponse::Error(e) => assert_eq!(e.kind, ErrorKind::OversizeLine),
+        other => panic!("expected an oversize error, got {other:?}"),
+    }
+    let (id, reply) = read_reply(&mut conn);
+    assert_eq!(id, Some(8));
+    assert!(
+        matches!(reply, WireResponse::Solved(_)),
+        "the connection must keep serving: {reply:?}"
+    );
+}
+
+#[test]
+fn a_routed_request_past_max_conns_in_flight_is_shed() {
+    let _fp = fp_lock();
+    let replica = Replica::start();
+    let ring = ring_over(&replica, |opts| opts.max_conns = 2);
+    let mut conn = ring.connect();
+
+    // Two held solves fill the in-flight cap; the third is shed at once.
+    krsp_failpoint::cfg("service.solve", "delay(200)").expect("arm service.solve");
+    send(
+        &mut conn,
+        &[id_solve(1, 20), id_solve(2, 21), id_solve(3, 22)],
+    );
+    let (id, first) = read_reply(&mut conn);
+    assert_eq!(
+        id,
+        Some(3),
+        "the third solve must be answered first: {first:?}"
+    );
+    match first {
+        WireResponse::Error(e) => assert_eq!(e.kind, ErrorKind::Shed),
+        other => panic!("expected a shed error, got {other:?}"),
+    }
+    let mut rest = [read_reply(&mut conn), read_reply(&mut conn)];
+    rest.sort_by_key(|(id, _)| *id);
+    for ((id, reply), want) in rest.into_iter().zip([1, 2]) {
+        assert_eq!(id, Some(want));
+        assert!(
+            matches!(reply, WireResponse::Solved(_)),
+            "id {want} must still solve: {reply:?}"
+        );
+    }
+}
+
 /// T15 (EXPERIMENTS.md): the replica ring measured end to end over real
 /// processes. Three phases, all through `krsp-cli route`:
 ///
@@ -374,7 +574,7 @@ fn t15_ring_storm_report() {
     };
     let spawn_replica = |addr: std::net::SocketAddr| {
         Command::new(env!("CARGO_BIN_EXE_krsp-cli"))
-            .args(["serve", &addr.to_string(), "--workers", "2", "--threaded"])
+            .args(["serve", &addr.to_string(), "--workers", "2"])
             .stdout(Stdio::null())
             .stderr(Stdio::null())
             .spawn()
