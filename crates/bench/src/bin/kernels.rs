@@ -8,8 +8,8 @@
 //!
 //! Measures the flat budgeted-DP kernel (`krsp_flow::csp`) against the
 //! preserved pre-rewrite implementation (`krsp_flow::reference`) on the
-//! same instances, plus the Bellman–Ford scratch API against the
-//! per-call-allocating wrapper and the end-to-end solver on the T2/T4
+//! same instances, plus the early-exit Bellman–Ford against the textbook
+//! n-round run kept there, and the end-to-end solver on the T2/T4
 //! generator families. The batch plane gets its own row families
 //! (EXPERIMENTS.md T12): `csp_batch` answers a fixed query set against a
 //! shared [`TopoDigest`] at batch sizes 1/8/64 vs the per-query rebuild,
@@ -33,13 +33,14 @@
 use krsp::bicameral::{seed_scan_only, Ctx};
 use krsp::{baselines, solve, solve_batch, Config, Instance};
 use krsp_bench::standard_workload;
-use krsp_flow::bellman_ford::BfScratch;
 use krsp_flow::{
-    constrained_shortest_path_with, constrained_shortest_paths_digested, find_negative_cycle_in,
-    kernel, reference, rsp_fptas_with, CspQuery, DpScratch, TopoDigest, KERNEL_KINDS,
+    bellman_ford, constrained_shortest_path_with, constrained_shortest_paths_digested,
+    find_negative_cycle_in, kernel, reference, rsp_fptas_with, BfResult, BfScratch, CspQuery,
+    DpScratch, TopoDigest, KERNEL_KINDS,
 };
 use krsp_gen::{Family, Regime};
-use krsp_graph::{NodeId, ResidualGraph};
+use krsp_graph::{EdgeId, NodeId, ResidualGraph};
+use krsp_numeric::Lex2;
 use serde::Serialize;
 use std::hint::black_box;
 use std::time::Instant;
@@ -337,24 +338,73 @@ fn main() {
         }
     }
 
-    // --- bellman_ford: scratch reuse vs per-call allocation -------------
-    // Negative-cycle detection under the solver's scalar weight shape, on
-    // the raw instance graphs (no negative cycle: full n-round worst case).
-    let mut bf: BfScratch<i64> = BfScratch::new();
+    // --- bellman_ford: early-exit engine vs the textbook n-round run -----
+    // The two shapes the solver runs. `cycle` is pass 1 of the bicameral
+    // search: the residual graph of the min-sum (delay-oblivious) flow
+    // under the scalar weight w with ΔD = −1 and ΔC above every |c(O)|, so
+    // every delay-reducing residual cycle is negative. A cycle must exist
+    // (asserted), so the textbook run pays all n rounds and the early exit
+    // stops at the first predecessor cycle; the checksum is found/not-found,
+    // since the two may return different cycles. `potentials` is the
+    // single-source run the min-cost flow takes its Johnson potentials from,
+    // on the instance graph under (c, d): no negative cycle, so both
+    // variants relax the same rounds and the checksum folds the distances.
+    let mut bf: BfScratch<Lex2> = BfScratch::new();
     for (label, inst) in &grid {
-        let g = &inst.graph;
+        let min_sum = baselines::min_sum(inst).expect("grid instances are feasible");
+        let residual = ResidualGraph::build(&inst.graph, &min_sum.edges);
+        let rg = residual.graph();
+        let delta_c = 1 + rg.edges().iter().map(|e| e.cost.abs()).sum::<i64>();
+        let ctx = Ctx {
+            delta_d: -1,
+            delta_c,
+            cost_cap: delta_c,
+            enforce_cost_cap: true,
+            scc_prune: true,
+        };
+        let w = |e: EdgeId| {
+            let r = rg.edge(e);
+            Lex2::new(ctx.w(r.cost, r.delay), 0)
+        };
         h.ab(
-            "bellman_ford",
+            "bellman_ford(cycle)",
             label,
             if smoke { 2 } else { 400 },
+            || i64::from(find_negative_cycle_in(rg, w, &mut bf).is_some()),
             || {
-                let found = find_negative_cycle_in(g, |e| g.edge(e).cost, &mut bf);
-                found.map_or(0, |c| c.len() as i64)
+                i64::from(
+                    reference::bellman_ford(rg, rg.node_iter(), w)
+                        .negative_cycle
+                        .is_some(),
+                )
             },
-            || {
-                let found = krsp_flow::bellman_ford::find_negative_cycle(g, |e| g.edge(e).cost);
-                found.map_or(0, |c| c.len() as i64)
-            },
+        );
+        assert_eq!(
+            h.results.last().map(|m| m.checksum),
+            Some(1),
+            "bellman_ford(cycle)/{label}: the min-sum residual must hold a negative cycle"
+        );
+
+        let g = &inst.graph;
+        let cd = |e: EdgeId| {
+            let r = g.edge(e);
+            Lex2::new(i128::from(r.cost), i128::from(r.delay))
+        };
+        let fold = |r: BfResult<Lex2>| -> i64 {
+            if r.negative_cycle.is_some() {
+                return -1;
+            }
+            r.dist.iter().flatten().fold(0i64, |acc, d| {
+                acc.wrapping_mul(131)
+                    .wrapping_add((d.primary * 1_000_003 + d.secondary) as i64)
+            })
+        };
+        h.ab(
+            "bellman_ford(potentials)",
+            label,
+            if smoke { 2 } else { 400 },
+            || fold(bellman_ford(g, inst.s, cd)),
+            || fold(reference::bellman_ford(g, std::iter::once(inst.s), cd)),
         );
     }
 

@@ -432,6 +432,10 @@ fn drive(
                 hi = mid;
                 best = Some(pr);
             }
+            // A probe the token stopped proved nothing about `mid`. Moving
+            // `lo` past it could end the loop and ship `hi` as if `hi − 1`
+            // had failed, which its `2·Ĉ` bound needs.
+            _ if cancel.is_cancelled() => return Err(SolveError::Cancelled),
             _ => lo = mid + 1,
         }
     }

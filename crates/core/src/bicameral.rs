@@ -26,9 +26,22 @@
 //!
 //! ## Engines
 //!
-//! * [`Engine::Layered`] (default): try plain Bellman–Ford on `G̃` under `w`
-//!   first (no cost window — accept if the found cycle happens to respect
-//!   the cap); fall back to the combined layered graph with doubling `B`.
+//! * [`Engine::Layered`] (default): up to three passes, each a
+//!   negative-cycle search under `w` (refined lexicographically by `d`):
+//!   plain Bellman–Ford on `G̃` first (no cost window — accept if the found
+//!   cycle happens to respect the cap), then the combined layered graph
+//!   with doubling `B`, then the per-seed graphs `H_v^±(cap)` as the
+//!   completeness fallback. Each Bellman–Ford run returns the first cycle
+//!   its predecessor graph closes (`krsp_flow::bellman_ford`), so a search
+//!   that finds a cycle pays for the rounds that took, not for n rounds,
+//!   and *which* negative cycle comes back depends on the relaxation
+//!   order. That is all Algorithm 1 needs: Lemmas 11–12 argue about some
+//!   bicameral cycle per iteration, and every harvested cycle is classified
+//!   against Definition 10 before it is returned. The scratch's
+//!   cancellation token is polled once per Bellman–Ford round, so a tripped
+//!   deadline stops a search within one O(m) round; a cancelled search
+//!   returns `None`, and callers re-check the token before reading that as
+//!   "no bicameral cycle".
 //! * [`Engine::LpRounding`] (paper-faithful): Algorithm 3 — per seed `v`
 //!   and bound `B`, build `H_v^±(B)`, solve LP (6) with the exact rational
 //!   simplex, release the support cycles, select per Algorithm 3's ratio
@@ -152,11 +165,11 @@ impl Ctx {
 /// scratch per probe lets all of those share buffers ([`find_with`]).
 #[derive(Default)]
 pub struct SearchScratch {
-    /// Bellman–Ford buffers for the sequential passes 1 and 2.
+    /// Bellman–Ford buffers for the sequential passes 1 and 2. Its
+    /// cancellation token is the search's: polled once per Bellman–Ford
+    /// round, and between passes and seeds. Defaults to
+    /// [`CancelToken::never`].
     bf: BfScratch<Lex2>,
-    /// Cooperative-cancellation token polled between search passes and
-    /// seeds. Defaults to [`CancelToken::never`].
-    cancel: CancelToken,
 }
 
 impl SearchScratch {
@@ -169,13 +182,13 @@ impl SearchScratch {
     /// Installs the cancellation token future searches poll; pass
     /// [`CancelToken::never`] to make the scratch uncancellable again.
     pub fn set_cancel(&mut self, cancel: CancelToken) {
-        self.cancel = cancel;
+        self.bf.set_cancel(cancel);
     }
 
     /// The currently installed cancellation token.
     #[must_use]
     pub fn cancel(&self) -> &CancelToken {
-        &self.cancel
+        self.bf.cancel()
     }
 }
 
@@ -398,7 +411,7 @@ fn layered(
         BSearch::FullSweep => (1..=cap).collect(),
     };
     for b in &bounds {
-        if scratch.cancel.is_cancelled() {
+        if scratch.cancel().is_cancelled() {
             return None;
         }
         let b = *b;
@@ -439,10 +452,10 @@ fn layered(
     }
 
     // Pass 3 — completeness fallback over the per-seed graphs.
-    if scratch.cancel.is_cancelled() {
+    if scratch.cancel().is_cancelled() {
         return None;
     }
-    seed_scan(residual, &subs, ctx, cap, &scratch.cancel)
+    seed_scan(residual, &subs, ctx, cap, scratch.cancel())
 }
 
 /// The per-seed layered scan (Algorithm 2's `H_v^±(B)` sweep) at `B =
@@ -457,7 +470,9 @@ fn layered(
 /// from the *lowest seed index*, so the result is bit-identical at any
 /// thread count (workers cooperatively cancel seeds past an already-found
 /// match). Each worker thread holds its own Bellman–Ford scratch in a
-/// thread-local, so a scan allocates per *worker*, not per seed.
+/// thread-local, so a scan allocates per *worker*, not per seed; every
+/// borrow installs `cancel`, so the seed's Bellman–Ford rounds poll this
+/// request's token and a tripped one never reaches a later search.
 fn seed_scan(
     residual: &ResidualGraph,
     subs: &[SubResidual<'_>],
@@ -493,6 +508,7 @@ fn seed_scan(
         let ag = &aux.graph;
         SEED_BF.with(|bf| {
             let mut bf = bf.borrow_mut();
+            bf.set_cancel(cancel.clone());
             let h_walk = find_negative_cycle_in(
                 ag,
                 |e: EdgeId| {

@@ -6,11 +6,28 @@
 //! explicit negative cycle when one exists — the primitive behind both the
 //! Orda–Sprintson baseline and the layered bicameral-cycle engine.
 //!
+//! A negative cycle is reported as soon as the predecessor graph closes
+//! one, not after n rounds. After every round that relaxed an edge, the
+//! run walks back along predecessor edges from each node the round
+//! relaxed, at most O(n) in all, and returns the first cycle a walk closes
+//! (the amortized check Cherkassky and Goldberg compare in "Negative-cycle
+//! detection algorithms", Math. Programming 85, 1999). Any such cycle is
+//! strictly negative, under every [`Weight`] including `Lex2`: the
+//! relaxation that closed it lowered the distance its successor edge was
+//! set from. And a reachable negative cycle always closes one by round n,
+//! so a cycle is found exactly when the textbook n-round run finds one.
+//! Without a reachable negative cycle no walk finds anything, and the
+//! rounds relax exactly as the textbook's
+//! (`krsp_flow::reference::bellman_ford`, the oracle the tests compare
+//! against).
+//!
 //! Algorithm 1's inner loop calls negative-cycle detection once per
 //! cancellation iteration per layered pass; [`BfScratch`] lets those calls
-//! share the `dist`/`pred`/`order`/cycle buffers instead of reallocating
-//! them every time (DESIGN.md §4.12).
+//! share the `dist`/`pred`/`order`/`relaxed`/cycle buffers instead of
+//! reallocating them every time, and carries the [`CancelToken`] each run
+//! polls once per round (DESIGN.md §4.12).
 
+use crate::cancel::CancelToken;
 use crate::weight::Weight;
 use krsp_graph::{DiGraph, EdgeId, NodeId};
 
@@ -18,8 +35,8 @@ use krsp_graph::{DiGraph, EdgeId, NodeId};
 #[derive(Clone, Debug)]
 pub struct BfResult<W> {
     /// `dist[v]` = weight of the lightest walk from the source set to `v`
-    /// (`None` if unreachable). Meaningless for nodes on/behind a negative
-    /// cycle when one is reported.
+    /// (`None` if unreachable). Meaningless when a negative cycle is
+    /// reported.
     pub dist: Vec<Option<W>>,
     /// Predecessor edge on the lightest walk.
     pub pred: Vec<Option<EdgeId>>,
@@ -58,12 +75,19 @@ impl<W: Weight> BfResult<W> {
 pub struct BfScratch<W> {
     dist: Vec<Option<W>>,
     pred: Vec<Option<EdgeId>>,
-    /// Backward-walk position per node during cycle extraction
-    /// (`usize::MAX` = unvisited).
+    /// Per-node stamp of the last predecessor walk that reached it during
+    /// the per-round cycle check. Stamps only grow within a run, so a round
+    /// tells its own walks from earlier rounds' without clearing.
     order: Vec<usize>,
+    /// Nodes the current round relaxed (repeats allowed). Every cycle a
+    /// round closes in the predecessor graph passes through one of them.
+    relaxed: Vec<NodeId>,
     /// Extracted cycle (closed, contiguous); valid after a run that
     /// returned `true`.
     cycle: Vec<EdgeId>,
+    /// Cooperative-cancellation token polled once per relaxation round.
+    /// Defaults to [`CancelToken::never`]; a cancelled run reports no cycle.
+    cancel: CancelToken,
 }
 
 impl<W> Default for BfScratch<W> {
@@ -72,7 +96,9 @@ impl<W> Default for BfScratch<W> {
             dist: Vec::new(),
             pred: Vec::new(),
             order: Vec::new(),
+            relaxed: Vec::new(),
             cycle: Vec::new(),
+            cancel: CancelToken::never(),
         }
     }
 }
@@ -82,6 +108,18 @@ impl<W> BfScratch<W> {
     #[must_use]
     pub fn new() -> Self {
         BfScratch::default()
+    }
+
+    /// Installs the cancellation token future runs poll; pass
+    /// [`CancelToken::never`] to make the scratch uncancellable again.
+    pub fn set_cancel(&mut self, cancel: CancelToken) {
+        self.cancel = cancel;
+    }
+
+    /// The currently installed cancellation token.
+    #[must_use]
+    pub fn cancel(&self) -> &CancelToken {
+        &self.cancel
     }
 }
 
@@ -112,7 +150,9 @@ pub fn find_negative_cycle<W: Weight>(
 
 /// [`find_negative_cycle`] over caller-owned buffers: no per-call
 /// allocation once the scratch is warm. The returned slice borrows the
-/// scratch and stays valid until the next run.
+/// scratch and stays valid until the next run. Returns `None` when the
+/// scratch's token has tripped, so a caller that installed one re-checks
+/// it before reading `None` as "no negative cycle".
 pub fn find_negative_cycle_in<'s, W: Weight>(
     graph: &DiGraph,
     weight: impl Fn(EdgeId) -> W,
@@ -123,7 +163,8 @@ pub fn find_negative_cycle_in<'s, W: Weight>(
 
 /// The relaxation engine. Leaves `dist`/`pred` in the scratch; returns
 /// `true` iff a reachable negative cycle exists, in which case the closed
-/// contiguous edge list is left in `scratch.cycle`.
+/// contiguous edge list is left in `scratch.cycle`. Returns `false` as soon
+/// as the scratch's token trips.
 fn run<W: Weight>(
     graph: &DiGraph,
     sources: impl Iterator<Item = NodeId>,
@@ -131,19 +172,30 @@ fn run<W: Weight>(
     scratch: &mut BfScratch<W>,
 ) -> bool {
     let n = graph.node_count();
-    scratch.dist.clear();
-    scratch.dist.resize(n, None);
-    scratch.pred.clear();
-    scratch.pred.resize(n, None);
-    let dist = &mut scratch.dist;
-    let pred = &mut scratch.pred;
+    let BfScratch {
+        dist,
+        pred,
+        order,
+        relaxed,
+        cycle,
+        cancel,
+    } = scratch;
+    dist.clear();
+    dist.resize(n, None);
+    pred.clear();
+    pred.resize(n, None);
+    order.clear();
+    order.resize(n, 0);
     for s in sources {
         dist[s.index()] = Some(W::ZERO);
     }
 
-    let mut last_relaxed: Option<NodeId> = None;
-    for round in 0..n {
-        last_relaxed = None;
+    let mut stamp = 0;
+    for _round in 0..n {
+        if cancel.is_cancelled() {
+            return false;
+        }
+        relaxed.clear();
         for (id, e) in graph.edge_iter() {
             let Some(du) = dist[e.src.index()] else {
                 continue;
@@ -156,53 +208,78 @@ fn run<W: Weight>(
             if better {
                 dist[e.dst.index()] = Some(cand);
                 pred[e.dst.index()] = Some(id);
-                last_relaxed = Some(e.dst);
+                relaxed.push(e.dst);
             }
         }
-        if last_relaxed.is_none() {
-            break;
+        if relaxed.is_empty() {
+            return false;
         }
-        let _ = round;
-    }
-
-    let Some(start) = last_relaxed else {
-        return false;
-    };
-    // Walk the predecessor graph backwards from the just-relaxed node until
-    // a node repeats; the edges between the two occurrences form a cycle,
-    // and every cycle in the predecessor graph at this point has negative
-    // weight (standard Bellman–Ford argument).
-    scratch.order.clear();
-    scratch.order.resize(n, usize::MAX);
-    let order = &mut scratch.order;
-    let back_edges = &mut scratch.cycle;
-    back_edges.clear();
-    let mut cur = start;
-    order[cur.index()] = 0;
-    loop {
-        let e = pred[cur.index()].expect("pred chain from a round-n relaxation cannot terminate");
-        back_edges.push(e);
-        cur = graph.edge(e).src;
-        if order[cur.index()] != usize::MAX {
-            // Entered the cycle: edges from position `order[cur]` up to
-            // here (in backward orientation) close it. Drop the approach
-            // prefix in place and flip to forward orientation — no copy.
-            let from = order[cur.index()];
-            back_edges.drain(..from);
-            back_edges.reverse();
+        if predecessor_cycle(graph, pred, relaxed, order, &mut stamp, cycle) {
             return true;
         }
-        order[cur.index()] = back_edges.len();
-        assert!(
-            back_edges.len() <= n,
-            "predecessor walk exceeded node count without cycling"
-        );
     }
+    // A relaxation in round n leaves a cycle in the predecessor graph (its
+    // node's predecessor chain is at least n edges long), and the walk
+    // after that round returned it; only an empty graph gets here.
+    debug_assert_eq!(n, 0, "round n relaxed without closing a predecessor cycle");
+    false
+}
+
+/// Looks for a cycle in the predecessor graph `pred` after a round that
+/// relaxed the nodes `starts`, given that it held none before the round:
+/// any new cycle then passes through a node the round relaxed. Walks back
+/// from each of them, stamping every node it reaches with a fresh stamp
+/// above all of earlier rounds', and stops a walk at a source or at a node
+/// an earlier walk of this round stamped, so the check costs O(n) plus one
+/// step per start.
+/// A walk that meets its own stamp has closed a cycle, which is left in
+/// `cycle` in forward orientation.
+fn predecessor_cycle(
+    graph: &DiGraph,
+    pred: &[Option<EdgeId>],
+    starts: &[NodeId],
+    order: &mut [usize],
+    stamp: &mut usize,
+    cycle: &mut Vec<EdgeId>,
+) -> bool {
+    let floor = *stamp;
+    for &start in starts {
+        *stamp += 1;
+        let mut cur = start.index();
+        while order[cur] <= floor {
+            order[cur] = *stamp;
+            let Some(e) = pred[cur] else {
+                break;
+            };
+            cur = graph.edge(e).src.index();
+        }
+        if order[cur] != *stamp || pred[cur].is_none() {
+            continue;
+        }
+        // `cur` is on the cycle: follow it around once, collecting the
+        // edges backwards, then flip them to forward orientation.
+        cycle.clear();
+        let mut v = cur;
+        loop {
+            let e = pred[v].expect("every node on a predecessor cycle has a predecessor");
+            cycle.push(e);
+            v = graph.edge(e).src.index();
+            if v == cur {
+                break;
+            }
+        }
+        cycle.reverse();
+        return true;
+    }
+    false
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference;
+    use krsp_numeric::Lex2;
+    use proptest::prelude::*;
 
     fn w(graph: &DiGraph) -> impl Fn(EdgeId) -> i64 + '_ {
         move |e| graph.edge(e).cost
@@ -276,7 +353,6 @@ mod tests {
 
     #[test]
     fn lexicographic_weights() {
-        use krsp_numeric::Lex2;
         // Two parallel 0→1 edges with equal primary, different secondary.
         let g = DiGraph::from_edges(2, &[(0, 1, 5, 9), (0, 1, 5, 3)]);
         let r = bellman_ford(&g, NodeId(0), |e| {
@@ -294,6 +370,123 @@ mod tests {
         g.add_edge(NodeId(0), NodeId(1), 1, 0);
         let cyc = find_negative_cycle(&g, w(&g)).expect("self-loop cycle");
         assert_eq!(cyc, vec![EdgeId(0)]);
+    }
+
+    #[test]
+    fn stops_at_the_first_round_that_closes_a_cycle() {
+        // A negative self-loop at the head of a long chain closes a
+        // predecessor cycle in round 1; the textbook run pays all n rounds.
+        let n = 40u32;
+        let mut edges = vec![(0, 0, -1, 0)];
+        edges.extend((0..n - 1).map(|v| (v, v + 1, 1, 0)));
+        let g = DiGraph::from_edges(n as usize, &edges);
+        let calls = std::cell::Cell::new(0usize);
+        let counted = |e: EdgeId| {
+            calls.set(calls.get() + 1);
+            g.edge(e).cost
+        };
+        assert_eq!(find_negative_cycle(&g, counted), Some(vec![EdgeId(0)]));
+        assert_eq!(calls.get(), g.edge_count(), "one round, not n");
+        calls.set(0);
+        let textbook = reference::bellman_ford(&g, g.node_iter(), counted);
+        assert!(textbook.negative_cycle.is_some());
+        assert_eq!(calls.get(), n as usize * g.edge_count());
+    }
+
+    #[test]
+    fn cancelled_scratch_returns_none_and_recovers() {
+        let g = DiGraph::from_edges(
+            4,
+            &[(0, 1, 1, 0), (1, 2, 2, 0), (2, 1, -3, 0), (2, 3, 1, 0)],
+        );
+        let mut scratch = BfScratch::new();
+        let token = CancelToken::cancellable();
+        token.cancel();
+        scratch.set_cancel(token);
+        assert!(find_negative_cycle_in(&g, w(&g), &mut scratch).is_none());
+        // Swapping back to a never-token makes the same scratch answer
+        // exactly as a fresh one does.
+        scratch.set_cancel(CancelToken::never());
+        let got = find_negative_cycle_in(&g, w(&g), &mut scratch).map(<[EdgeId]>::to_vec);
+        let mut fresh = BfScratch::new();
+        let want = find_negative_cycle_in(&g, w(&g), &mut fresh).map(<[EdgeId]>::to_vec);
+        assert!(want.is_some());
+        assert_eq!(got, want);
+        assert_eq!(scratch.dist, fresh.dist);
+        assert_eq!(scratch.pred, fresh.pred);
+    }
+
+    /// Checks one weight function against the textbook oracle through both
+    /// entry points: the same cycle verdict; every returned cycle closed,
+    /// contiguous and strictly negative; identical `dist`/`pred` when there
+    /// is no cycle.
+    fn agrees_with_textbook<W: Weight>(
+        g: &DiGraph,
+        weight: impl Fn(EdgeId) -> W + Copy,
+    ) -> TestCaseResult {
+        let valid_negative = |cycle: &[EdgeId]| -> TestCaseResult {
+            prop_assert!(!cycle.is_empty());
+            let first = g.edge(cycle[0]).src;
+            let mut cur = first;
+            let mut total = W::ZERO;
+            for &e in cycle {
+                prop_assert_eq!(g.edge(e).src, cur, "cycle {:?} is not contiguous", cycle);
+                cur = g.edge(e).dst;
+                total = total.add_checked(weight(e));
+            }
+            prop_assert_eq!(cur, first, "cycle {:?} is not closed", cycle);
+            prop_assert!(total < W::ZERO, "cycle {:?} weighs {:?}", cycle, total);
+            Ok(())
+        };
+
+        let mut scratch = BfScratch::new();
+        let found = run(g, g.node_iter(), weight, &mut scratch);
+        let textbook = reference::bellman_ford(g, g.node_iter(), weight);
+        prop_assert_eq!(found, textbook.negative_cycle.is_some());
+        if found {
+            valid_negative(&scratch.cycle)?;
+        } else {
+            prop_assert_eq!(&scratch.dist, &textbook.dist);
+            prop_assert_eq!(&scratch.pred, &textbook.pred);
+        }
+
+        let single = bellman_ford(g, NodeId(0), weight);
+        let textbook = reference::bellman_ford(g, std::iter::once(NodeId(0)), weight);
+        prop_assert_eq!(
+            single.negative_cycle.is_some(),
+            textbook.negative_cycle.is_some()
+        );
+        match &single.negative_cycle {
+            Some(cycle) => valid_negative(cycle)?,
+            None => {
+                prop_assert_eq!(&single.dist, &textbook.dist);
+                prop_assert_eq!(&single.pred, &textbook.pred);
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        /// The early-exit engine against the textbook n-round run, on
+        /// random signed graphs under `i64` costs and under `Lex2` weights
+        /// whose coarse primary makes zero-primary cycles common.
+        #[test]
+        fn prop_matches_textbook_bellman_ford(
+            n in 1usize..9,
+            edges in proptest::collection::vec((0u32..9, 0u32..9, -6i64..20, -8i64..12), 0..26),
+        ) {
+            let edges: Vec<(u32, u32, i64, i64)> = edges
+                .into_iter()
+                .map(|(u, v, c, d)| (u % n as u32, v % n as u32, c, d))
+                .collect();
+            let g = DiGraph::from_edges(n, &edges);
+            agrees_with_textbook(&g, |e| g.edge(e).cost)?;
+            agrees_with_textbook(&g, |e| {
+                let r = g.edge(e);
+                Lex2::new(i128::from(r.cost.div_euclid(4)), i128::from(r.delay))
+            })?;
+        }
     }
 
     #[test]

@@ -1,21 +1,33 @@
-//! Pre-flattening RSP kernels, kept verbatim as oracles.
+//! Pre-rewrite kernels, kept verbatim as oracles.
 //!
-//! This module preserves the original 2-D `Option`-table implementation of
-//! the budgeted DP and the FPTAS built on it, exactly as they stood before
-//! the flat-kernel rewrite in [`crate::csp`]. It exists for two reasons:
+//! This module preserves two implementations exactly as they stood before
+//! their rewrites:
 //!
-//! 1. **Oracle testing** — the property suite pins the flat kernel to this
-//!    implementation: identical values, identical tie-breaking, identical
-//!    recovered paths on random instances.
-//! 2. **A/B benchmarking** — `BENCH_kernels.json` tracks the speedup of the
-//!    flat kernel against this baseline on the same instances.
+//! * the original 2-D `Option`-table budgeted DP and the FPTAS built on it,
+//!   from before the flat-kernel rewrite in [`crate::csp`];
+//! * the textbook Bellman–Ford engine, which runs all n rounds and only
+//!   then walks back from the last node relaxed, from before
+//!   [`crate::bellman_ford`](mod@crate::bellman_ford) learned to stop at
+//!   the first predecessor cycle.
+//!
+//! It exists for two reasons:
+//!
+//! 1. **Oracle testing** — the property suites pin the rewrites to these
+//!    implementations: identical values, identical tie-breaking, identical
+//!    recovered paths on random instances for the DP; the same cycle
+//!    verdict, and identical `dist`/`pred` when there is no cycle, for
+//!    Bellman–Ford.
+//! 2. **A/B benchmarking** — `BENCH_kernels.json` tracks the speedup of
+//!    each rewrite against this baseline on the same instances.
 //!
 //! Do not "improve" this module: its value is that it does not change.
 
 #![doc(hidden)]
 
+use crate::bellman_ford::BfResult;
 use crate::csp::{geometric_midpoint, CspPath};
 use crate::dijkstra::dijkstra;
+use crate::weight::Weight;
 use krsp_graph::{DiGraph, EdgeId, NodeId};
 
 /// Budgeted DP tables in the original 2-D `Option` layout:
@@ -261,4 +273,83 @@ pub fn rsp_fptas(
     let p = CspPath::from_edges(graph, edges);
     debug_assert!(p.delay <= delay_bound);
     Some(p)
+}
+
+/// The textbook Bellman–Ford run from `sources`: up to n full rounds, then,
+/// if round n still relaxed an edge, one walk back from the last node it
+/// relaxed to extract the negative cycle. Buffers are allocated per call.
+pub fn bellman_ford<W: Weight>(
+    graph: &DiGraph,
+    sources: impl Iterator<Item = NodeId>,
+    weight: impl Fn(EdgeId) -> W,
+) -> BfResult<W> {
+    let n = graph.node_count();
+    let mut dist: Vec<Option<W>> = vec![None; n];
+    let mut pred: Vec<Option<EdgeId>> = vec![None; n];
+    for s in sources {
+        dist[s.index()] = Some(W::ZERO);
+    }
+
+    let mut last_relaxed: Option<NodeId> = None;
+    for round in 0..n {
+        last_relaxed = None;
+        for (id, e) in graph.edge_iter() {
+            let Some(du) = dist[e.src.index()] else {
+                continue;
+            };
+            let cand = du.add_checked(weight(id));
+            let better = match dist[e.dst.index()] {
+                None => true,
+                Some(dv) => cand < dv,
+            };
+            if better {
+                dist[e.dst.index()] = Some(cand);
+                pred[e.dst.index()] = Some(id);
+                last_relaxed = Some(e.dst);
+            }
+        }
+        if last_relaxed.is_none() {
+            break;
+        }
+        let _ = round;
+    }
+
+    let Some(start) = last_relaxed else {
+        return BfResult {
+            dist,
+            pred,
+            negative_cycle: None,
+        };
+    };
+    // Walk the predecessor graph backwards from the just-relaxed node until
+    // a node repeats; the edges between the two occurrences form a cycle,
+    // and every cycle in the predecessor graph at this point has negative
+    // weight (standard Bellman–Ford argument).
+    let mut order = vec![usize::MAX; n];
+    let mut back_edges = Vec::new();
+    let mut cur = start;
+    order[cur.index()] = 0;
+    loop {
+        let e = pred[cur.index()].expect("pred chain from a round-n relaxation cannot terminate");
+        back_edges.push(e);
+        cur = graph.edge(e).src;
+        if order[cur.index()] != usize::MAX {
+            // Entered the cycle: edges from position `order[cur]` up to
+            // here (in backward orientation) close it. Drop the approach
+            // prefix in place and flip to forward orientation — no copy.
+            let from = order[cur.index()];
+            back_edges.drain(..from);
+            back_edges.reverse();
+            return BfResult {
+                dist,
+                pred,
+                negative_cycle: Some(back_edges),
+            };
+        }
+        order[cur.index()] = back_edges.len();
+        assert!(
+            back_edges.len() <= n,
+            "predecessor walk exceeded node count without cycling"
+        );
+    }
 }

@@ -747,8 +747,9 @@ impl Frontend {
     /// pool, a router runs it on a thread of its own. The answer comes back
     /// through the completion queue. Returns `false` when it was not handed
     /// off: the connection is gone, or a router already has `max_conns`
-    /// requests in flight and answers `"shed"` at once. That cap keeps one
-    /// `SolveBatch` line from starting a thread per query.
+    /// requests in flight and answers `"shed"` at once, counted in its
+    /// `rejected`. That cap keeps one `SolveBatch` line from starting a
+    /// thread per query.
     fn dispatch(
         &mut self,
         token: usize,
@@ -756,11 +757,14 @@ impl Frontend {
         ordered: bool,
         request: WireRequest,
     ) -> bool {
-        if matches!(self.backend, Backend::Router(_)) && self.routed >= self.opts.max_conns {
-            let shed = proto::wire_error(ErrorKind::Shed, "router in-flight limit reached");
-            let line = proto::encode_response_line(id.as_ref(), &shed);
-            self.queue_response(token, &line);
-            return false;
+        if let Backend::Router(router) = &self.backend {
+            if self.routed >= self.opts.max_conns {
+                router.count_rejected();
+                let shed = proto::wire_error(ErrorKind::Shed, "router in-flight limit reached");
+                let line = proto::encode_response_line(id.as_ref(), &shed);
+                self.queue_response(token, &line);
+                return false;
+            }
         }
         let Some(conn) = self.conns.get_mut(&token) else {
             return false;

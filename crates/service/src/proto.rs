@@ -490,8 +490,10 @@ pub struct RingReply {
     pub hedges_fired: u64,
     /// Hedged sends where the *second* replica answered first.
     pub hedges_won: u64,
-    /// Requests structurally rejected by the router itself (deadline
-    /// budget exhausted or no live replica).
+    /// Requests structurally rejected by the router itself: deadline
+    /// budget exhausted, no live replica, or shed because `max_conns`
+    /// routed requests were already in flight (those are not counted in
+    /// `requests`).
     pub rejected: u64,
 }
 

@@ -531,6 +531,12 @@ impl Router {
         std::mem::take(&mut *lock_recover(&self.inner.trace))
     }
 
+    /// Counts a request the router rejected without routing it: the
+    /// connection loop's `shed` once `max_conns` requests are in flight.
+    pub(crate) fn count_rejected(&self) {
+        self.inner.stats.rejected.fetch_add(1, Ordering::AcqRel);
+    }
+
     /// The router's replica-set view and counters (the `Health` answer).
     #[must_use]
     pub fn ring_reply(&self) -> RingReply {

@@ -6,6 +6,7 @@
 # Runs from the repo root regardless of the caller's cwd.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+root="$(pwd)"
 
 echo "== cargo fmt --check"
 cargo fmt --check
@@ -82,7 +83,25 @@ grep -q '"bench": "solve_batch"' "$smoke_out"
 grep -q '"variant": "classic"' "$smoke_out"
 grep -q '"variant": "interval"' "$smoke_out"
 grep -q '"bench": "rsp_kernel(classic/interval)"' "$smoke_out"
+# The Bellman–Ford rows race the early-exit engine against the textbook
+# n-round run (krsp_flow::reference): the cycle rows assert in-binary that
+# both variants found the residual graph's negative cycle, the potentials
+# rows that both computed the same distances.
+grep -q '"bench": "bellman_ford(cycle)"' "$smoke_out"
+grep -q '"bench": "bellman_ford(potentials)"' "$smoke_out"
 rm -f "$smoke_out"
+
+echo "== experiments all (every paper claim: T1 bifactor, T2 pairing, F3 Lemma 12, F5 cost cap, ...)"
+# The harness exits 1 on any FAIL row. It writes results/ under its working
+# directory, so it runs in a temporary one and the committed results/ keep
+# their recorded numbers.
+exp_dir="$(mktemp -d)"
+(cd "$exp_dir" && cargo run -q --release --offline --manifest-path "$root/Cargo.toml" \
+    -p krsp-bench --bin experiments -- all >run.log) || {
+    cat "$exp_dir/run.log"
+    exit 1
+}
+rm -rf "$exp_dir"
 
 echo "== benchmark self-tests (perfbench: every answer audited on all four workloads)"
 # perfbench is a package of its own; its tests run a small version of each

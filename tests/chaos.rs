@@ -235,6 +235,48 @@ fn expired_deadline_degrades_to_a_completed_rung() {
     );
 }
 
+/// A probe that the cancellation token stops proves nothing about its
+/// `Ĉ`. The bisection's last probe once counted such a stop as a genuine
+/// failure: it left the loop with `lo = hi` and returned the `hi` probe as
+/// a Full answer, whose `2·C_OPT` bound needs a real failure at `hi − 1`.
+/// Here the token trips while the solve's last cycle search sleeps in its
+/// fail point, so that search's Bellman–Ford stops at its first per-round
+/// poll, and the solve must report `Cancelled`.
+#[test]
+fn cancelled_last_bisection_probe_is_not_shipped_as_full() {
+    let _fp = fp_lock();
+    let inst = tradeoff(24);
+    let cfg = Config::default();
+    // A clean run counts the searches. It must bisect, so that its last
+    // search belongs to a bisection step.
+    krsp_failpoint::cfg("bicameral.search", "delay(0)").expect("arm bicameral.search");
+    let clean = krsp::solve(&inst, &cfg).expect("clean solve");
+    let searches = krsp_failpoint::hits("bicameral.search");
+    assert!(clean.stats.probes >= 2, "probes = {}", clean.stats.probes);
+
+    krsp_failpoint::cfg("bicameral.search", "delay(250)").expect("arm bicameral.search");
+    let token = krsp::CancelToken::cancellable();
+    let mut scratch = krsp::SearchScratch::new();
+    scratch.set_cancel(token.clone());
+    let outcome = std::thread::scope(|s| {
+        let solve = s.spawn(|| krsp::solve_with(&inst, &cfg, &mut scratch));
+        // A search counts its hit before it sleeps.
+        while krsp_failpoint::hits("bicameral.search") < 2 * searches {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        token.cancel();
+        solve.join().expect("solve thread never panics")
+    });
+    match outcome {
+        Err(krsp::SolveError::Cancelled) => {}
+        Ok(solved) => panic!(
+            "a cancelled last probe shipped cost {} after {} probes",
+            solved.solution.cost, solved.stats.probes
+        ),
+        Err(other) => panic!("expected Cancelled, got {other:?}"),
+    }
+}
+
 #[test]
 fn injected_delays_never_change_answers() {
     let _fp = fp_lock();

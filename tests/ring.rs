@@ -546,6 +546,21 @@ fn a_routed_request_past_max_conns_in_flight_is_shed() {
             "id {want} must still solve: {reply:?}"
         );
     }
+    // The router counts the shed as one of its own rejections.
+    send(
+        &mut conn,
+        &[proto::encode_request_with_id(4, &WireRequest::Health)],
+    );
+    match read_reply(&mut conn) {
+        (Some(4), WireResponse::Ring(ring)) => {
+            assert_eq!(ring.rejected, 1, "{ring:?}");
+            assert_eq!(
+                ring.requests, 2,
+                "the shed solve was never routed: {ring:?}"
+            );
+        }
+        other => panic!("expected the router's Health, got {other:?}"),
+    }
 }
 
 /// T15 (EXPERIMENTS.md): the replica ring measured end to end over real
