@@ -42,7 +42,7 @@ fn bench_flow(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("edmonds_karp_disjoint", n), &g, |b, g| {
             b.iter(|| krsp_flow::max_edge_disjoint_paths_ek(g, NodeId(0), t))
         });
-        group.bench_with_input(BenchmarkId::new("mcf_k2_lex_bf", n), &g, |b, g| {
+        group.bench_with_input(BenchmarkId::new("mcf_k2_lex_dijkstra", n), &g, |b, g| {
             b.iter(|| {
                 min_cost_k_flow(g, NodeId(0), t, 2, |e: EdgeId| {
                     let r = g.edge(e);
@@ -50,9 +50,9 @@ fn bench_flow(c: &mut Criterion) {
                 })
             })
         });
-        group.bench_with_input(BenchmarkId::new("mcf_k2_lex_potentials", n), &g, |b, g| {
+        group.bench_with_input(BenchmarkId::new("mcf_k2_lex_reference", n), &g, |b, g| {
             b.iter(|| {
-                krsp_flow::min_cost_k_flow_fast(g, NodeId(0), t, 2, |e: EdgeId| {
+                krsp_flow::reference::min_cost_k_flow(g, NodeId(0), t, 2, |e: EdgeId| {
                     let r = g.edge(e);
                     Lex2::new(r.cost as i128, r.delay as i128)
                 })

@@ -9,7 +9,8 @@
 //! Measures the flat budgeted-DP kernel (`krsp_flow::csp`) against the
 //! preserved pre-rewrite implementation (`krsp_flow::reference`) on the
 //! same instances, plus the early-exit Bellman–Ford against the textbook
-//! n-round run kept there, and the end-to-end solver on the T2/T4
+//! n-round run kept there, the Dijkstra min-cost flow against the
+//! Bellman–Ford-per-augmentation one, and the end-to-end solver on the T2/T4
 //! generator families. The batch plane gets its own row families
 //! (EXPERIMENTS.md T12): `csp_batch` answers a fixed query set against a
 //! shared [`TopoDigest`] at batch sizes 1/8/64 vs the per-query rebuild,
@@ -34,9 +35,9 @@ use krsp::bicameral::{seed_scan_only, Ctx};
 use krsp::{baselines, solve, solve_batch, Config, Instance};
 use krsp_bench::standard_workload;
 use krsp_flow::{
-    bellman_ford, constrained_shortest_path_with, constrained_shortest_paths_digested,
-    find_negative_cycle_in, kernel, reference, rsp_fptas_with, BfResult, BfScratch, CspQuery,
-    DpScratch, TopoDigest, KERNEL_KINDS,
+    constrained_shortest_path_with, constrained_shortest_paths_digested, find_negative_cycle_in,
+    kernel, min_cost_k_flow, reference, rsp_fptas_with, BfScratch, CspQuery, DpScratch, McfFlow,
+    TopoDigest, KERNEL_KINDS,
 };
 use krsp_gen::{Family, Regime};
 use krsp_graph::{EdgeId, NodeId, ResidualGraph};
@@ -338,17 +339,19 @@ fn main() {
         }
     }
 
-    // --- bellman_ford: early-exit engine vs the textbook n-round run -----
-    // The two shapes the solver runs. `cycle` is pass 1 of the bicameral
-    // search: the residual graph of the min-sum (delay-oblivious) flow
-    // under the scalar weight w with ΔD = −1 and ΔC above every |c(O)|, so
-    // every delay-reducing residual cycle is negative. A cycle must exist
-    // (asserted), so the textbook run pays all n rounds and the early exit
-    // stops at the first predecessor cycle; the checksum is found/not-found,
-    // since the two may return different cycles. `potentials` is the
-    // single-source run the min-cost flow takes its Johnson potentials from,
-    // on the instance graph under (c, d): no negative cycle, so both
-    // variants relax the same rounds and the checksum folds the distances.
+    // --- bellman_ford(cycle): early-exit engine vs the textbook run ------
+    // Pass 1 of the bicameral search: the residual graph of the min-sum
+    // (delay-oblivious) flow under the scalar weight w with ΔD = −1 and ΔC
+    // above every |c(O)|, so every delay-reducing residual cycle is
+    // negative. A cycle must exist (asserted), so the textbook run pays all
+    // n rounds and the early exit stops at the first predecessor cycle; the
+    // checksum is found/not-found, since the two may return different
+    // cycles.
+    // --- min_cost_flow: Dijkstra SSP vs one Bellman–Ford per augmentation
+    // The k-unit min-cost flow phase 1 and the baselines run, on the
+    // instance graph under (c, d). Both variants reach the same optimum, so
+    // the checksum folds its total weight. The Dijkstra side takes tens of
+    // microseconds, so the row runs enough iterations to last ≥ 100 ms.
     let mut bf: BfScratch<Lex2> = BfScratch::new();
     for (label, inst) in &grid {
         let min_sum = baselines::min_sum(inst).expect("grid instances are feasible");
@@ -390,21 +393,16 @@ fn main() {
             let r = g.edge(e);
             Lex2::new(i128::from(r.cost), i128::from(r.delay))
         };
-        let fold = |r: BfResult<Lex2>| -> i64 {
-            if r.negative_cycle.is_some() {
-                return -1;
-            }
-            r.dist.iter().flatten().fold(0i64, |acc, d| {
-                acc.wrapping_mul(131)
-                    .wrapping_add((d.primary * 1_000_003 + d.secondary) as i64)
-            })
+        let total = |f: Option<McfFlow<Lex2>>| -> i64 {
+            let w = f.expect("grid instances hold k disjoint paths").weight;
+            (w.primary * 1_000_003 + w.secondary) as i64
         };
         h.ab(
-            "bellman_ford(potentials)",
+            "min_cost_flow",
             label,
-            if smoke { 2 } else { 400 },
-            || fold(bellman_ford(g, inst.s, cd)),
-            || fold(reference::bellman_ford(g, std::iter::once(inst.s), cd)),
+            if smoke { 2 } else { 6000 },
+            || total(min_cost_k_flow(g, inst.s, inst.t, inst.k, cd)),
+            || total(reference::min_cost_k_flow(g, inst.s, inst.t, inst.k, cd)),
         );
     }
 

@@ -162,14 +162,20 @@ struct Probe {
 /// to the estimate `c_hat`. Returns the resulting (delay-feasible) solution
 /// or `None` if the loop stalled (no bicameral cycle under this `Ĉ`, or the
 /// iteration guard tripped).
+///
+/// `residual` is the solve's one residual graph, left by an earlier probe
+/// at any solution of the instance: it is re-targeted to the phase-1 flow
+/// here, and each cancelled cycle reverses only its own edges.
 fn probe(
     inst: &Instance,
     p1: &Phase1,
     c_hat: i64,
     cfg: &Config,
     scratch: &mut bicameral::SearchScratch,
+    residual: &mut ResidualGraph,
 ) -> Option<Probe> {
     let mut edges = p1.flow.clone();
+    residual.retarget(&edges);
     let mut cost = p1.cost;
     let mut delay = p1.delay;
     let mut iterations = Vec::new();
@@ -181,7 +187,6 @@ fn probe(
         if iterations.len() >= cfg.max_iterations || scratch.cancel().is_cancelled() {
             return None;
         }
-        let residual = ResidualGraph::build(&inst.graph, &edges);
         let ctx = Ctx {
             delta_d: inst.delay_bound - delay,
             delta_c: (c_hat - cost).max(0),
@@ -190,7 +195,7 @@ fn probe(
             scc_prune: cfg.scc_pruning,
         };
         let cyc: BicameralCycle =
-            bicameral::find_with(&residual, &ctx, cfg.engine, cfg.b_search, scratch)?;
+            bicameral::find_with(residual, &ctx, cfg.engine, cfg.b_search, scratch)?;
         debug_assert!(residual.is_valid_cycle_set(&cyc.edges));
         if cfg.enforce_cost_cap && ctx.delta_c > 0 {
             let r = krsp_numeric::Rat::new(ctx.delta_d as i128, ctx.delta_c as i128);
@@ -372,10 +377,12 @@ fn drive(
     // and the degradation ladder above substitutes a *completed* cheaper
     // method on cancellation.
     let cancel = scratch.cancel().clone();
+    // One residual graph per solve; each probe re-targets it in place.
+    let mut residual = ResidualGraph::build(&inst.graph, &p1.flow);
 
     if cfg.single_probe {
         stats.probes = 1;
-        return match probe(inst, p1, ub.max(1), cfg, scratch) {
+        return match probe(inst, p1, ub.max(1), cfg, scratch, &mut residual) {
             Some(pr) => {
                 stats.iterations = pr.iterations;
                 Ok(finish(pr.solution, stats, p1, start))
@@ -394,7 +401,7 @@ fn drive(
             return Err(SolveError::Cancelled);
         }
         stats.probes += 1;
-        match probe(inst, p1, hi, cfg, scratch) {
+        match probe(inst, p1, hi, cfg, scratch, &mut residual) {
             Some(pr) if pr.solution.cost <= 2 * hi => {
                 best = Some(pr);
                 break;
@@ -427,7 +434,7 @@ fn drive(
         }
         let mid = lo + (hi - lo) / 2;
         stats.probes += 1;
-        match probe(inst, p1, mid, cfg, scratch) {
+        match probe(inst, p1, mid, cfg, scratch, &mut residual) {
             Some(pr) if pr.solution.cost <= 2 * mid => {
                 hi = mid;
                 best = Some(pr);

@@ -16,7 +16,7 @@ use crate::instance::Instance;
 use crate::phase1::{self, Phase1Backend};
 use crate::solution::Solution;
 use krsp_flow::karp::min_ratio_cycle;
-use krsp_flow::{kernel, min_cost_k_flow_fast as min_cost_k_flow, DpScratch, KernelKind};
+use krsp_flow::{kernel, min_cost_k_flow, DpScratch, KernelKind};
 use krsp_graph::{DiGraph, EdgeId, EdgeSet, ResidualGraph};
 use krsp_numeric::Lex2;
 
@@ -118,7 +118,7 @@ pub fn orda_sprintson(inst: &Instance) -> Option<Solution> {
         if guard > (inst.graph.total_delay().max(1)) as usize + inst.m() + 8 {
             break; // safety valve; each cycle reduces delay by ≥ 1
         }
-        let residual = ResidualGraph::build(&inst.graph, &sol.edges);
+        let mut residual = ResidualGraph::build(&inst.graph, &sol.edges);
         let rg = residual.graph();
         // Their weight model: reversed edges cost 0 (costs stay ≥ 0).
         let cost0 = |e: EdgeId| -> i64 {

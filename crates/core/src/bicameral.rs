@@ -776,7 +776,7 @@ mod tests {
     #[test]
     fn layered_finds_delay_reducing_cycle() {
         let (g, sol) = swap_instance();
-        let res = ResidualGraph::build(&g, &sol);
+        let mut res = ResidualGraph::build(&g, &sol);
         // Current delay 18, suppose D = 10 → ΔD = −8; Ĉ = 10, cost 2 → ΔC = 8.
         let c = ctx(-8, 8, 10);
         let cyc = find(&res, &c, Engine::Layered, BSearch::Doubling).expect("cycle exists");

@@ -27,7 +27,7 @@
 //! Both are cross-checked against each other in the test-suite.
 
 use crate::instance::Instance;
-use krsp_flow::{min_cost_k_flow_fast as min_cost_k_flow, McfFlow};
+use krsp_flow::{min_cost_k_flow, McfFlow};
 use krsp_graph::{EdgeId, EdgeSet};
 use krsp_lp::{LpOutcome, Model, Rat, Relation};
 use krsp_numeric::Lex2;
@@ -128,31 +128,25 @@ fn assemble(
         None => false,
         Some(fh) => {
             let (c_hi, d_hi) = flow_totals(inst, fh);
-            // a + b comparison with exact rationals; D or C_LP may be zero,
-            // so compare D·C_LP-scaled: a_i + b_i = d_i/D + c_i/C_LP.
-            // Scale by D·C_LP > 0 when both positive; guard the zero cases.
-            let score = |c: i64, d: i64| -> Rat {
-                let a = if inst.delay_bound == 0 {
-                    if d == 0 {
-                        Rat::ZERO
-                    } else {
-                        Rat::int(i128::MAX / 4)
-                    }
+            // a_i + b_i = d_i/D + c_i/C_LP in exact rationals. D or C_LP may
+            // be zero: a term x/0 is 0 for x = 0 and +∞ otherwise, and
+            // `None` stands for a score of +∞ (a sentinel value would
+            // overflow when added to a fraction).
+            let ratio = |x: i64, by: Rat| -> Option<Rat> {
+                if by.is_zero() {
+                    (x == 0).then_some(Rat::ZERO)
                 } else {
-                    Rat::new(d as i128, inst.delay_bound as i128)
-                };
-                let b = if lp_bound.is_zero() {
-                    if c == 0 {
-                        Rat::ZERO
-                    } else {
-                        Rat::int(i128::MAX / 4)
-                    }
-                } else {
-                    Rat::int(c as i128) / lp_bound
-                };
-                a + b
+                    Some(Rat::int(x as i128) / by)
+                }
             };
-            score(c_hi, d_hi) < score(c_lo, d_lo)
+            let score = |c: i64, d: i64| -> Option<Rat> {
+                Some(ratio(d, Rat::int(inst.delay_bound as i128))? + ratio(c, lp_bound)?)
+            };
+            match (score(c_hi, d_hi), score(c_lo, d_lo)) {
+                (Some(hi), Some(lo)) => hi < lo,
+                (Some(_), None) => true,
+                (None, _) => false,
+            }
         }
     };
     let flow = if pick_hi { f_hi.unwrap() } else { f_lo.clone() };
@@ -183,8 +177,9 @@ fn scalarized_flow(inst: &Instance, p: i128, q: i128) -> Option<McfFlow<Lex2>> {
 }
 
 /// Same but maximizing delay among weight-optimal flows (secondary `−d`).
-/// Only called with `p > 0`, where zero-weight cycles have zero delay and
-/// the lexicographic weighting therefore has no negative cycles.
+/// Only called with `p > 0`, where the primary `q·c + p·d` is zero only
+/// when `d = 0` too, so every edge weight stays nonnegative, as
+/// [`min_cost_k_flow`] requires.
 fn scalarized_flow_maxdelay(inst: &Instance, p: i128, q: i128) -> Option<McfFlow<Lex2>> {
     debug_assert!(p > 0);
     min_cost_k_flow(&inst.graph, inst.s, inst.t, inst.k, |e: EdgeId| {

@@ -8,10 +8,10 @@
 //! * [`dijkstra`](mod@dijkstra) — nonnegative-weight shortest paths.
 //! * [`dinic`] — unit-capacity max flow (`k`-disjoint-path feasibility,
 //!   Menger-style).
-//! * [`mcf`] — min-cost flow via successive shortest paths over generic
-//!   ordered weights, including exact lexicographic tie-breaking (the
-//!   phase-1 parametric backend and the Suurballe-style min-sum baseline
-//!   [20, 21] both reduce to this).
+//! * [`mcf`] — min-cost flow via successive shortest paths (one Dijkstra
+//!   per augmentation) over generic nonnegative ordered weights, including
+//!   exact lexicographic tie-breaking (the phase-1 parametric backend and
+//!   the Suurballe-style min-sum baseline [20, 21] both reduce to this).
 //! * [`karp`] — Karp's minimum mean cycle (the Orda–Sprintson \[18\] baseline
 //!   cancels minimum-mean cycles in a nonnegative-cost residual graph).
 //! * [`csp`] — delay-constrained shortest path: exact pseudo-polynomial DP
@@ -21,6 +21,9 @@
 //!   [`krsp_numeric::Lex2`]) shared by all of the above.
 //! * [`cancel`] — the [`CancelToken`] kernels poll so deadline-expired or
 //!   shed requests actually stop computing (DESIGN.md §4.13).
+//! * `reference` — pre-rewrite kernels kept verbatim as oracles: the 2-D
+//!   budgeted DP and its FPTAS, the textbook Bellman–Ford, and the
+//!   Bellman–Ford-per-augmentation min-cost flow.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,7 +37,6 @@ pub mod edmonds_karp;
 pub mod karp;
 pub mod kernel;
 pub mod mcf;
-pub mod mcf_fast;
 pub mod reference;
 pub mod weight;
 pub mod yen;
@@ -54,6 +56,5 @@ pub use kernel::{
     kernel, ClassicFptas, IntervalScalingFptas, KernelError, KernelKind, RspKernel, KERNEL_KINDS,
 };
 pub use mcf::{min_cost_k_flow, McfFlow};
-pub use mcf_fast::min_cost_k_flow_fast;
 pub use weight::Weight;
 pub use yen::{k_shortest_paths, WeightedPath};

@@ -1,20 +1,25 @@
 //! Min-cost flow by successive shortest paths over generic ordered weights.
 //!
 //! Unit capacities (one unit per graph edge) are all the suite needs: a
-//! kRSP solution is a unit `st`-flow of value `k`. Shortest augmenting paths
-//! are found with Bellman–Ford on the residual arc network, so weights may
-//! be negative (e.g. exact lexicographic weights whose secondary component
-//! dips below zero) as long as the *input graph* has no negative-weight
-//! cycle — which holds for every weighting used in this suite and is
-//! debug-asserted.
+//! kRSP solution is a unit `st`-flow of value `k`. Every weighting the suite
+//! flows under is lexicographically nonnegative: phase 1's `(c, d)`,
+//! `(d, c)` and `(q·c + p·d, ±d)` with `p > 0`, and the min-sum/min-delay
+//! baselines' `(c, d)` and `(d, c)`. Zero Johnson potentials are therefore
+//! valid for the zero flow, and every augmentation is one Dijkstra over
+//! reduced weights, `O(k·m·log n)` in all. The nonnegativity is asserted
+//! once per call, in `O(m)`.
 //!
 //! Successively augmenting along shortest paths yields, after the `v`-th
 //! augmentation, a minimum-weight flow of value `v` — the classical SSP
 //! invariant. The parametric phase-1 backend and the Suurballe-style
 //! min-sum baseline ([20, 21]) are thin wrappers over [`min_cost_k_flow`].
+//! The Bellman–Ford-per-augmentation version it replaced is kept in
+//! [`crate::reference`] as the oracle of the property tests below.
 
 use crate::weight::Weight;
 use krsp_graph::{DiGraph, EdgeId, EdgeSet, NodeId};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// A minimum-weight unit `st`-flow.
 #[derive(Clone, Debug)]
@@ -31,8 +36,8 @@ pub struct McfFlow<W> {
 /// unit capacity on every edge. Returns `None` if fewer than `k` disjoint
 /// paths exist.
 ///
-/// Requirement: `graph` has no negative-weight cycle under `weight`
-/// (debug-asserted).
+/// Panics if any edge weight is negative (lexicographically, for
+/// [`krsp_numeric::Lex2`]).
 pub fn min_cost_k_flow<W: Weight>(
     graph: &DiGraph,
     s: NodeId,
@@ -41,49 +46,79 @@ pub fn min_cost_k_flow<W: Weight>(
     weight: impl Fn(EdgeId) -> W,
 ) -> Option<McfFlow<W>> {
     assert_ne!(s, t, "source and sink must differ");
-    debug_assert!(
-        crate::bellman_ford::find_negative_cycle(graph, &weight).is_none(),
-        "min_cost_k_flow requires a graph without negative-weight cycles"
-    );
-
+    let n = graph.node_count();
     let m = graph.edge_count();
+    for i in 0..m {
+        let e = EdgeId(i as u32);
+        assert!(
+            !weight(e).is_negative(),
+            "min_cost_k_flow requires nonnegative weights ({e:?} is negative)"
+        );
+    }
     // flow[e] = true iff edge e currently carries a unit.
     let mut flow = vec![false; m];
+    // Johnson potentials: every residual arc a→b keeps a reduced weight
+    // w + π[a] − π[b] ≥ 0. With no negative weight, π = 0 holds for the
+    // zero flow. A node the search does not reach keeps its potential: new
+    // reverse arcs join reached nodes only, so it can never be reached again.
+    let mut pot = vec![W::ZERO; n];
+    let mut dist: Vec<Option<W>> = vec![None; n];
+    // pred[v] = (edge, is_backward)
+    let mut pred: Vec<Option<(EdgeId, bool)>> = vec![None; n];
+    let mut done = vec![false; n];
+    let mut heap: BinaryHeap<Reverse<(W, u32)>> = BinaryHeap::new();
 
     for _round in 0..k {
-        // Bellman–Ford over the residual network: forward arcs for unused
-        // edges (weight w), backward arcs for used edges (weight -w).
-        let n = graph.node_count();
-        let mut dist: Vec<Option<W>> = vec![None; n];
-        // pred[v] = (edge, is_backward)
-        let mut pred: Vec<Option<(EdgeId, bool)>> = vec![None; n];
+        dist.fill(None);
+        pred.fill(None);
+        done.fill(false);
         dist[s.index()] = Some(W::ZERO);
-        for _ in 0..n {
-            let mut changed = false;
-            for (id, e) in graph.edge_iter() {
-                if !flow[id.index()] {
-                    if let Some(du) = dist[e.src.index()] {
-                        let cand = du.add_checked(weight(id));
-                        if dist[e.dst.index()].is_none_or(|dv| cand < dv) {
-                            dist[e.dst.index()] = Some(cand);
-                            pred[e.dst.index()] = Some((id, false));
-                            changed = true;
-                        }
-                    }
-                } else if let Some(dv) = dist[e.dst.index()] {
-                    let cand = dv.add_checked(-weight(id));
-                    if dist[e.src.index()].is_none_or(|du| cand < du) {
-                        dist[e.src.index()] = Some(cand);
-                        pred[e.src.index()] = Some((id, true));
-                        changed = true;
-                    }
+        heap.push(Reverse((W::ZERO, s.0)));
+        while let Some(Reverse((du, u))) = heap.pop() {
+            let u = NodeId(u);
+            if done[u.index()] {
+                continue;
+            }
+            done[u.index()] = true;
+            let pu = pot[u.index()];
+            // Forward residual arcs: unused out-edges.
+            for &e in graph.out_edges(u) {
+                if flow[e.index()] {
+                    continue;
+                }
+                let v = graph.edge(e).dst;
+                let red = weight(e).add_checked(pu).add_checked(-pot[v.index()]);
+                debug_assert!(!red.is_negative(), "reduced weight must be nonnegative");
+                let cand = du.add_checked(red);
+                if dist[v.index()].is_none_or(|dv| cand < dv) {
+                    dist[v.index()] = Some(cand);
+                    pred[v.index()] = Some((e, false));
+                    heap.push(Reverse((cand, v.0)));
                 }
             }
-            if !changed {
-                break;
+            // Backward residual arcs: used in-edges (traversed against).
+            for &e in graph.in_edges(u) {
+                if !flow[e.index()] {
+                    continue;
+                }
+                let v = graph.edge(e).src;
+                let red = (-weight(e)).add_checked(pu).add_checked(-pot[v.index()]);
+                debug_assert!(!red.is_negative(), "reduced weight must be nonnegative");
+                let cand = du.add_checked(red);
+                if dist[v.index()].is_none_or(|dv| cand < dv) {
+                    dist[v.index()] = Some(cand);
+                    pred[v.index()] = Some((e, true));
+                    heap.push(Reverse((cand, v.0)));
+                }
             }
         }
         dist[t.index()]?;
+        // Update potentials: π[v] += dist[v] for reached nodes.
+        for (p, d) in pot.iter_mut().zip(&dist) {
+            if let Some(d) = *d {
+                *p = p.add_checked(d);
+            }
+        }
         // Augment one unit along the shortest path.
         let mut cur = t;
         let mut steps = 0;
@@ -232,6 +267,13 @@ mod tests {
         assert_eq!(f.weight.secondary, -100); // picked the high-delay path
     }
 
+    #[test]
+    #[should_panic(expected = "nonnegative weights")]
+    fn negative_weight_panics() {
+        let g = DiGraph::from_edges(3, &[(0, 1, 1, 0), (1, 2, -1, 0), (0, 2, 5, 0)]);
+        let _ = min_cost_k_flow(&g, NodeId(0), NodeId(2), 1, cost(&g));
+    }
+
     /// Brute force: enumerate all k-subsets of edges forming a k-flow.
     fn brute_force_min(g: &DiGraph, s: NodeId, t: NodeId, k: usize) -> Option<i64> {
         let m = g.edge_count();
@@ -274,6 +316,43 @@ mod tests {
                 (None, None) => {}
                 (Some(f), Some(b)) => prop_assert_eq!(f.weight, b),
                 (a, b) => prop_assert!(false, "mismatch: ours={:?} brute={:?}", a.map(|f| f.weight), b),
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// Dijkstra SSP agrees with the Bellman–Ford-per-augmentation oracle
+        /// on random multigraphs (parallel edges, self-loops, zero costs and
+        /// delays, so weight ties are common) under every weighting phase 1
+        /// and the baselines use: `c`, `(c, d)`, `(d, c)`, and the
+        /// scalarized `(q·c + p·d, ±d)` with `p, q ≥ 1`.
+        #[test]
+        fn prop_matches_reference(
+            edges in proptest::collection::vec((0u32..6, 0u32..6, 0i64..5, 0i64..5), 6..36),
+            k in 1usize..4,
+            p in 1i128..40,
+            q in 1i128..40,
+        ) {
+            let g = DiGraph::from_edges(6, &edges);
+            let (s, t) = (NodeId(0), NodeId(5));
+            let a = min_cost_k_flow(&g, s, t, k, cost(&g));
+            let b = crate::reference::min_cost_k_flow(&g, s, t, k, cost(&g));
+            prop_assert_eq!(a.map(|f| f.weight), b.map(|f| f.weight));
+            let cd = |e: EdgeId| (i128::from(g.edge(e).cost), i128::from(g.edge(e).delay));
+            let weightings: [&dyn Fn(EdgeId) -> Lex2; 4] = [
+                &|e| { let (c, d) = cd(e); Lex2::new(c, d) },
+                &|e| { let (c, d) = cd(e); Lex2::new(d, c) },
+                &|e| { let (c, d) = cd(e); Lex2::new(q * c + p * d, d) },
+                &|e| { let (c, d) = cd(e); Lex2::new(q * c + p * d, -d) },
+            ];
+            for w in weightings {
+                let a = min_cost_k_flow(&g, s, t, k, w);
+                let b = crate::reference::min_cost_k_flow(&g, s, t, k, w);
+                if let Some(f) = &a {
+                    prop_assert!(f.edges.is_k_flow(&g, s, t, k));
+                }
+                prop_assert_eq!(a.map(|f| f.weight), b.map(|f| f.weight));
             }
         }
     }

@@ -1,6 +1,6 @@
 //! Pre-rewrite kernels, kept verbatim as oracles.
 //!
-//! This module preserves two implementations exactly as they stood before
+//! This module preserves three implementations exactly as they stood before
 //! their rewrites:
 //!
 //! * the original 2-D `Option`-table budgeted DP and the FPTAS built on it,
@@ -8,7 +8,10 @@
 //! * the textbook Bellman–Ford engine, which runs all n rounds and only
 //!   then walks back from the last node relaxed, from before
 //!   [`crate::bellman_ford`](mod@crate::bellman_ford) learned to stop at
-//!   the first predecessor cycle.
+//!   the first predecessor cycle;
+//! * the min-cost flow that runs a Bellman–Ford over the residual network
+//!   for every augmentation, from before [`crate::mcf`] became
+//!   Dijkstra-only; it accepts negative weights.
 //!
 //! It exists for two reasons:
 //!
@@ -16,7 +19,7 @@
 //!    implementations: identical values, identical tie-breaking, identical
 //!    recovered paths on random instances for the DP; the same cycle
 //!    verdict, and identical `dist`/`pred` when there is no cycle, for
-//!    Bellman–Ford.
+//!    Bellman–Ford; the same optimal total weight for the min-cost flow.
 //! 2. **A/B benchmarking** — `BENCH_kernels.json` tracks the speedup of
 //!    each rewrite against this baseline on the same instances.
 //!
@@ -27,8 +30,9 @@
 use crate::bellman_ford::BfResult;
 use crate::csp::{geometric_midpoint, CspPath};
 use crate::dijkstra::dijkstra;
+use crate::mcf::McfFlow;
 use crate::weight::Weight;
-use krsp_graph::{DiGraph, EdgeId, NodeId};
+use krsp_graph::{DiGraph, EdgeId, EdgeSet, NodeId};
 
 /// Budgeted DP tables in the original 2-D `Option` layout:
 /// `value[b][v]` = minimum objective over `s→v` walks with `Σ budget ≤ b`.
@@ -352,4 +356,97 @@ pub fn bellman_ford<W: Weight>(
             "predecessor walk exceeded node count without cycling"
         );
     }
+}
+
+/// The Bellman–Ford-per-augmentation min-cost flow.
+///
+/// Computes a minimum-weight flow of value exactly `k` from `s` to `t` with
+/// unit capacity on every edge. Returns `None` if fewer than `k` disjoint
+/// paths exist.
+///
+/// Requirement: `graph` has no negative-weight cycle under `weight`
+/// (debug-asserted).
+pub fn min_cost_k_flow<W: Weight>(
+    graph: &DiGraph,
+    s: NodeId,
+    t: NodeId,
+    k: usize,
+    weight: impl Fn(EdgeId) -> W,
+) -> Option<McfFlow<W>> {
+    assert_ne!(s, t, "source and sink must differ");
+    debug_assert!(
+        crate::bellman_ford::find_negative_cycle(graph, &weight).is_none(),
+        "min_cost_k_flow requires a graph without negative-weight cycles"
+    );
+
+    let m = graph.edge_count();
+    // flow[e] = true iff edge e currently carries a unit.
+    let mut flow = vec![false; m];
+
+    for _round in 0..k {
+        // Bellman–Ford over the residual network: forward arcs for unused
+        // edges (weight w), backward arcs for used edges (weight -w).
+        let n = graph.node_count();
+        let mut dist: Vec<Option<W>> = vec![None; n];
+        // pred[v] = (edge, is_backward)
+        let mut pred: Vec<Option<(EdgeId, bool)>> = vec![None; n];
+        dist[s.index()] = Some(W::ZERO);
+        for _ in 0..n {
+            let mut changed = false;
+            for (id, e) in graph.edge_iter() {
+                if !flow[id.index()] {
+                    if let Some(du) = dist[e.src.index()] {
+                        let cand = du.add_checked(weight(id));
+                        if dist[e.dst.index()].is_none_or(|dv| cand < dv) {
+                            dist[e.dst.index()] = Some(cand);
+                            pred[e.dst.index()] = Some((id, false));
+                            changed = true;
+                        }
+                    }
+                } else if let Some(dv) = dist[e.dst.index()] {
+                    let cand = dv.add_checked(-weight(id));
+                    if dist[e.src.index()].is_none_or(|du| cand < du) {
+                        dist[e.src.index()] = Some(cand);
+                        pred[e.src.index()] = Some((id, true));
+                        changed = true;
+                    }
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        dist[t.index()]?;
+        // Augment one unit along the shortest path.
+        let mut cur = t;
+        let mut steps = 0;
+        while cur != s {
+            let (e, backward) = pred[cur.index()].expect("path reconstruction");
+            if backward {
+                flow[e.index()] = false;
+                cur = graph.edge(e).dst;
+            } else {
+                flow[e.index()] = true;
+                cur = graph.edge(e).src;
+            }
+            steps += 1;
+            assert!(steps <= 2 * m + 1, "augmenting path reconstruction loop");
+        }
+    }
+
+    let mut edges = EdgeSet::with_capacity(m);
+    let mut total = W::ZERO;
+    for (i, &f) in flow.iter().enumerate() {
+        if f {
+            let id = EdgeId(i as u32);
+            edges.insert(id);
+            total = total.add_checked(weight(id));
+        }
+    }
+    debug_assert!(edges.is_k_flow(graph, s, t, k));
+    Some(McfFlow {
+        edges,
+        weight: total,
+        value: k,
+    })
 }

@@ -150,6 +150,23 @@ impl DiGraph {
         rec.delay = delay;
     }
 
+    /// Reverses edge `e` in place: swaps its endpoints (weights untouched)
+    /// and moves its id between the adjacency lists. `add_edge` appends ids
+    /// in increasing order, so every list is sorted by id; the moved id is
+    /// inserted at its sorted position, which keeps the graph identical to
+    /// one built edge by edge with `e` reversed.
+    pub(crate) fn reverse_edge(&mut self, e: EdgeId) {
+        let rec = &mut self.edges[e.index()];
+        let (u, v) = (rec.src, rec.dst);
+        (rec.src, rec.dst) = (v, u);
+        let out = Arc::make_mut(&mut self.out);
+        remove_sorted(&mut out[u.index()], e);
+        insert_sorted(&mut out[v.index()], e);
+        let inn = Arc::make_mut(&mut self.inn);
+        remove_sorted(&mut inn[v.index()], e);
+        insert_sorted(&mut inn[u.index()], e);
+    }
+
     /// A weight-patched copy sharing this graph's adjacency arrays.
     ///
     /// `changes` is a list of `(edge, new_cost, new_delay)` triples; the
@@ -187,14 +204,14 @@ impl DiGraph {
         &self.edges
     }
 
-    /// Outgoing edge ids of `v` (insertion order).
+    /// Outgoing edge ids of `v`, in id order.
     #[inline]
     #[must_use]
     pub fn out_edges(&self, v: NodeId) -> &[EdgeId] {
         &self.out[v.index()]
     }
 
-    /// Incoming edge ids of `v` (insertion order).
+    /// Incoming edge ids of `v`, in id order.
     #[inline]
     #[must_use]
     pub fn in_edges(&self, v: NodeId) -> &[EdgeId] {
@@ -267,6 +284,22 @@ impl DiGraph {
         s.push_str("}\n");
         s
     }
+}
+
+/// Removes `e` from an id-sorted adjacency list.
+fn remove_sorted(list: &mut Vec<EdgeId>, e: EdgeId) {
+    let i = list
+        .binary_search(&e)
+        .expect("edge is in its adjacency list");
+    list.remove(i);
+}
+
+/// Inserts `e` into an id-sorted adjacency list at its sorted position.
+fn insert_sorted(list: &mut Vec<EdgeId>, e: EdgeId) {
+    let i = list
+        .binary_search(&e)
+        .expect_err("edge is not yet in the list");
+    list.insert(i, e);
 }
 
 // The adjacency arrays are fully determined by `edges` + the node count, so

@@ -9,7 +9,9 @@
 //!
 //! `G̃` may be a multigraph (footnote 1 of the paper). Cancelling a residual
 //! cycle `O` replaces `S` by `S ⊕ O`: forward members of `O` are added to the
-//! solution, reverse members remove their originals.
+//! solution, reverse members remove their originals. Residual edge `i` is
+//! always base edge `i`, forward or reversed, so `G̃` can follow `S` in place:
+//! only the edges whose membership changed are reversed.
 
 use crate::digraph::{DiGraph, EdgeId, NodeId};
 use crate::edgeset::EdgeSet;
@@ -42,9 +44,15 @@ impl ResEdge {
 
 /// The residual graph of Definition 6.
 ///
-/// Internally materialized as a fresh [`DiGraph`] (so every algorithm in the
-/// suite runs on it unchanged) plus a map from residual edge ids back to
-/// their [`ResEdge`] origin.
+/// Held as a [`DiGraph`] (so every algorithm in the suite runs on it
+/// unchanged) plus a map from residual edge ids back to their [`ResEdge`]
+/// origin. [`ResidualGraph::build`] materializes it once; [`apply`] and
+/// [`retarget`] then update it in place by reversing edges. After either,
+/// the edge records, every node's adjacency lists (in id order) and the
+/// origins equal what `build` makes for the new solution.
+///
+/// [`apply`]: ResidualGraph::apply
+/// [`retarget`]: ResidualGraph::retarget
 #[derive(Clone, Debug)]
 pub struct ResidualGraph {
     graph: DiGraph,
@@ -82,11 +90,12 @@ impl ResidualGraph {
     }
 
     /// Applies `solution ← solution ⊕ O` for a residual cycle (or a set of
-    /// edge-disjoint residual cycles given as one edge list).
+    /// edge-disjoint residual cycles given as one edge list), and reverses
+    /// those residual edges so the graph becomes `G_res(solution ⊕ O)`.
     ///
     /// Panics (debug) if a forward edge is already in the solution or a
     /// reverse edge is missing — which would indicate the cycle is stale.
-    pub fn apply(&self, solution: &mut EdgeSet, cycle_edges: &[EdgeId]) {
+    pub fn apply(&mut self, solution: &mut EdgeSet, cycle_edges: &[EdgeId]) {
         for &re in cycle_edges {
             match self.origin(re) {
                 ResEdge::Forward(e) => {
@@ -98,7 +107,35 @@ impl ResidualGraph {
                     debug_assert!(was, "reverse residual edge not in solution");
                 }
             }
+            self.reverse(re);
         }
+    }
+
+    /// Re-targets the graph to `G_res(solution)` in place, reversing only
+    /// the edges whose membership differs from the current orientation.
+    ///
+    /// `solution` must be an edge set over the base graph this residual
+    /// graph was built from.
+    pub fn retarget(&mut self, solution: &EdgeSet) {
+        debug_assert_eq!(solution.capacity(), self.origin.len());
+        for i in 0..self.origin.len() {
+            let e = EdgeId(i as u32);
+            if solution.contains(e) != self.origin[i].is_reverse() {
+                self.reverse(e);
+            }
+        }
+    }
+
+    /// Turns residual edge `e` around: endpoints swapped, cost and delay
+    /// negated, origin flipped between forward and reverse.
+    fn reverse(&mut self, e: EdgeId) {
+        self.graph.reverse_edge(e);
+        let r = self.graph.edge(e);
+        self.graph.set_edge_weights(e, -r.cost, -r.delay);
+        self.origin[e.index()] = match self.origin[e.index()] {
+            ResEdge::Forward(b) => ResEdge::Reverse(b),
+            ResEdge::Reverse(b) => ResEdge::Forward(b),
+        };
     }
 
     /// Cost of a residual edge list (signed).
@@ -139,6 +176,7 @@ impl ResidualGraph {
 mod tests {
     use super::*;
     use crate::digraph::NodeId;
+    use proptest::prelude::*;
 
     /// 0→1→3 (in solution), 0→2→3 alternative, 2→1 chord.
     fn setup() -> (DiGraph, EdgeSet) {
@@ -178,10 +216,21 @@ mod tests {
         assert_eq!(res.origin(EdgeId(2)), ResEdge::Forward(EdgeId(2)));
     }
 
+    /// Field-by-field equality with a fresh `build` on the same solution.
+    fn same_as_built(res: &ResidualGraph, base: &DiGraph, solution: &EdgeSet) -> bool {
+        let fresh = ResidualGraph::build(base, solution);
+        let (a, b) = (res.graph(), fresh.graph());
+        a.node_count() == b.node_count()
+            && a.edges() == b.edges()
+            && a.node_iter()
+                .all(|v| a.out_edges(v) == b.out_edges(v) && a.in_edges(v) == b.in_edges(v))
+            && res.origin == fresh.origin
+    }
+
     #[test]
     fn apply_cycle_swaps_path() {
         let (g, mut s) = setup();
-        let res = ResidualGraph::build(&g, &s);
+        let mut res = ResidualGraph::build(&g, &s);
         // Residual cycle: 0→2 (e2), 2→1 (e4), 1→0 (reverse e0).
         let cyc = vec![EdgeId(2), EdgeId(4), EdgeId(0)];
         assert!(res.is_valid_cycle_set(&cyc));
@@ -192,6 +241,10 @@ mod tests {
         let members: Vec<_> = s.iter().collect();
         assert_eq!(members, vec![EdgeId(1), EdgeId(2), EdgeId(4)]);
         assert!(s.is_k_flow(&g, NodeId(0), NodeId(3), 1));
+        // The residual graph followed the solution in place.
+        assert!(same_as_built(&res, &g, &s));
+        assert_eq!(res.origin(EdgeId(0)), ResEdge::Forward(EdgeId(0)));
+        assert_eq!(res.graph().in_edges(NodeId(1)), &[EdgeId(0), EdgeId(1)]);
     }
 
     #[test]
@@ -209,5 +262,44 @@ mod tests {
         assert_eq!(ResEdge::Reverse(EdgeId(3)).base(), EdgeId(3));
         assert!(ResEdge::Reverse(EdgeId(0)).is_reverse());
         assert!(!ResEdge::Forward(EdgeId(0)).is_reverse());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// One residual graph re-targeted through a random sequence of edge
+        /// sets, by whole-set `retarget` or by `apply` of an edge list, stays
+        /// equal to a fresh `build` on the same set after every step: edge
+        /// records, each node's `out_edges`/`in_edges` in order, and origins.
+        /// The multigraphs carry parallel edges and self-loops.
+        #[test]
+        fn prop_in_place_updates_match_build(
+            n in 1u32..7,
+            edges in proptest::collection::vec((0u32..7, 0u32..7, 0i64..20, 0i64..20), 0..40),
+            start in 0u64..=u64::MAX,
+            steps in proptest::collection::vec((0u8..2, 0u64..=u64::MAX), 1..10),
+        ) {
+            let list: Vec<_> = edges.iter().map(|&(u, v, c, d)| (u % n, v % n, c, d)).collect();
+            let g = DiGraph::from_edges(n as usize, &list);
+            let m = g.edge_count();
+            let set_of = |mask: u64| {
+                let ids: Vec<EdgeId> =
+                    (0..m).filter(|&i| mask >> i & 1 == 1).map(|i| EdgeId(i as u32)).collect();
+                EdgeSet::from_edges(m, &ids)
+            };
+            let mut solution = set_of(start);
+            let mut res = ResidualGraph::build(&g, &solution);
+            for (by_apply, mask) in steps {
+                if by_apply == 1 {
+                    // Any list of distinct residual edges is a valid `⊕`
+                    // argument; it flips exactly those memberships.
+                    let flips: Vec<EdgeId> = set_of(mask).iter().collect();
+                    res.apply(&mut solution, &flips);
+                } else {
+                    solution = set_of(mask);
+                    res.retarget(&solution);
+                }
+                prop_assert!(same_as_built(&res, &g, &solution));
+            }
+        }
     }
 }

@@ -83,12 +83,13 @@ grep -q '"bench": "solve_batch"' "$smoke_out"
 grep -q '"variant": "classic"' "$smoke_out"
 grep -q '"variant": "interval"' "$smoke_out"
 grep -q '"bench": "rsp_kernel(classic/interval)"' "$smoke_out"
-# The Bellman–Ford rows race the early-exit engine against the textbook
-# n-round run (krsp_flow::reference): the cycle rows assert in-binary that
-# both variants found the residual graph's negative cycle, the potentials
-# rows that both computed the same distances.
+# The bellman_ford(cycle) rows race the early-exit engine against the
+# textbook n-round run (krsp_flow::reference) and assert in-binary that both
+# variants found the residual graph's negative cycle; the min_cost_flow rows
+# race the Dijkstra min-cost flow against the Bellman–Ford-per-augmentation
+# oracle and assert that both reached the same total weight.
 grep -q '"bench": "bellman_ford(cycle)"' "$smoke_out"
-grep -q '"bench": "bellman_ford(potentials)"' "$smoke_out"
+grep -q '"bench": "min_cost_flow"' "$smoke_out"
 rm -f "$smoke_out"
 
 echo "== experiments all (every paper claim: T1 bifactor, T2 pairing, F3 Lemma 12, F5 cost cap, ...)"
