@@ -33,7 +33,8 @@ pub mod cancel;
 pub mod csp;
 pub mod dijkstra;
 pub mod dinic;
-pub mod edmonds_karp;
+#[cfg(test)]
+mod edmonds_karp;
 pub mod karp;
 pub mod kernel;
 pub mod mcf;
@@ -50,7 +51,6 @@ pub use csp::{
 };
 pub use dijkstra::dijkstra;
 pub use dinic::{max_edge_disjoint_paths, Dinic};
-pub use edmonds_karp::{max_edge_disjoint_paths_ek, EdmondsKarp};
 pub use karp::min_mean_cycle;
 pub use kernel::{
     kernel, ClassicFptas, IntervalScalingFptas, KernelError, KernelKind, RspKernel, KERNEL_KINDS,

@@ -9,24 +9,25 @@
 //! serializable — `krsp-load` prints it as JSON for committing under
 //! `results/`.
 //!
-//! [`run_remote`] replays the same workload over the NDJSON wire protocol
-//! against a running `krsp-cli serve`, with per-request reconnect and
-//! jittered exponential backoff so a restarting or briefly absent server
-//! does not fail the replay.
+//! [`run_remote`] and every [`run_rolling`] window replay the same workload
+//! over the NDJSON wire protocol against a running `krsp-cli serve` (or
+//! `krsp-cli route`). Each client thread owns one connection and one
+//! window of id-carrying requests, and follows one set of rules for
+//! framing, reply matching and reissue (see [`run_remote`]), so a
+//! restarting or briefly absent server does not fail the replay.
 
 use crate::degrade::Rung;
-use crate::metrics::MetricsSnapshot;
-use crate::proto::{
-    self, write_line, BatchQuery, ErrorKind, SolveBatchRequest, SolveRequest, WireRequest,
-    WireResponse,
-};
-use crate::service::{Rejection, Request, Service};
+use crate::metrics::{quantile_rank, MetricsSnapshot};
+use crate::proto::{self, write_line, ErrorKind, SolveRequest, WireRequest, WireResponse};
+use crate::service::{Request, Service};
 use crate::sync_util::lock_recover;
 use krsp_gen::{Family, Regime, Workload};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -56,16 +57,16 @@ pub struct LoadSpec {
     /// Per-request deadline in milliseconds; `None` uses the service
     /// default.
     pub deadline_ms: Option<u64>,
-    /// Requests kept in flight per connection in remote replays. `0`/`1`
-    /// is the classic one-at-a-time round trip; `N > 1` pipelines with
-    /// per-request ids and matches responses out of order. Ignored by
-    /// in-process replays (clients are the concurrency there).
+    /// Requests kept in flight per connection in wire replays, each on its
+    /// own id-carrying line and matched by id in whatever order the
+    /// replies return. `0`/`1` is one at a time. Ignored by in-process
+    /// replays (clients are the concurrency there).
     pub pipeline: usize,
-    /// Queries grouped into each `SolveBatch` wire request in remote
-    /// replays. `0`/`1` sends classic one-query `Solve` lines; `N > 1`
-    /// sends one batch line per `N` claimed requests and matches the
-    /// per-query responses by id. Mutually exclusive with `pipeline > 1`;
-    /// ignored by in-process replays.
+    /// Queries grouped into each `SolveBatch` wire line in wire replays.
+    /// `0`/`1` sends one-query `Solve` lines; `N > 1` sends each window of
+    /// `N` claimed requests as one batch line and matches the per-query
+    /// replies by id. Mutually exclusive with `pipeline > 1`; ignored by
+    /// in-process replays.
     pub batch: usize,
     /// RSP-kernel override stamped on every issued request; `None` leaves
     /// the server's configured kernel ladder in charge.
@@ -107,23 +108,6 @@ pub struct LatencySummary {
     pub mean_us: f64,
     /// Maximum.
     pub max_us: u64,
-}
-
-/// Exact 1-based quantile rank: `ceil(q · count)` clamped to
-/// `[1, count]`, computed without going through `f64` multiplication.
-/// `(q * count as f64).ceil()` misrounds once `count` exceeds f64's
-/// 53-bit mantissa (`count as f64` itself rounds, so e.g. `q = 1.0`
-/// could yield a rank below `count` and select the wrong order
-/// statistic); instead take `q` in 2⁻³² fixed point — exact for the
-/// conversion — and compute `ceil(q_fp · count / 2³²)` in u128. The
-/// same rank the metrics histogram uses (`metrics::LatencyHistogram`).
-fn quantile_rank(q: f64, count: u64) -> u64 {
-    const FP: u128 = 1 << 32;
-    let q_fp = (q.clamp(0.0, 1.0) * FP as f64).round() as u128;
-    let rank = (q_fp * u128::from(count)).div_ceil(FP);
-    u64::try_from(rank.min(u128::from(count)))
-        .expect("rank is clamped to count")
-        .max(1)
 }
 
 impl LatencySummary {
@@ -190,17 +174,17 @@ pub struct LoadReport {
     /// Reconnect-and-reissue attempts after transport errors (remote
     /// replay only; 0 in-process).
     pub transport_retries: u64,
-    /// Requests kept in flight per connection (1 = sequential round
-    /// trips). Latencies are measured **per id** — send of a request to
-    /// receipt of the response carrying its id — so pipelined numbers are
-    /// true per-request latencies, not batch times.
+    /// Requests kept in flight per connection (1 = one at a time).
+    /// Latencies are measured **per id** — send of a request to receipt of
+    /// the response carrying its id — so pipelined numbers are true
+    /// per-request latencies, not window times.
     pub pipeline_depth: u64,
     /// Queries per `SolveBatch` wire request (1 = plain `Solve` lines).
     /// Latencies are per query — send of the batch line to receipt of the
     /// response carrying that query's id.
     pub batch_size: u64,
     /// Responses that arrived before an earlier-submitted request's
-    /// response on the same connection (pipelined replays only).
+    /// response on the same connection (wire replays only).
     pub out_of_order_replies: u64,
     /// Deepest observed reordering: the most earlier-submitted requests
     /// still unanswered when a response arrived.
@@ -252,26 +236,75 @@ struct Tally {
 }
 
 impl Tally {
-    fn record_solved(
-        &mut self,
-        rung: Rung,
-        cache_hit: bool,
-        coalesced: bool,
-        deadline_missed: bool,
-        latency_us: u64,
-        latency_last_us: u64,
-    ) {
-        self.completed += 1;
-        self.per_rung[rung.index()] += u64::from(!cache_hit && !coalesced);
-        self.deadline_missed += u64::from(deadline_missed);
-        self.cache_hits += u64::from(cache_hit);
-        self.coalesced += u64::from(coalesced);
-        if cache_hit {
-            self.hit_latencies.push(latency_us);
-        } else {
-            self.miss_latencies.push(latency_us);
+    /// Classifies one outcome, in the wire's terms.
+    fn record(&mut self, a: Answer) {
+        if a.overtook > 0 {
+            self.out_of_order += 1;
+            self.reorder_depth_max = self.reorder_depth_max.max(a.overtook);
         }
-        self.last_send_latencies.push(latency_last_us);
+        match a.response {
+            Some(WireResponse::Solved(r)) => {
+                self.completed += 1;
+                self.per_rung[r.rung.index()] += u64::from(!r.cache_hit && !r.coalesced);
+                self.deadline_missed += u64::from(r.deadline_missed);
+                self.cache_hits += u64::from(r.cache_hit);
+                self.coalesced += u64::from(r.coalesced);
+                if r.cache_hit {
+                    self.hit_latencies.push(a.first_us);
+                } else {
+                    self.miss_latencies.push(a.first_us);
+                }
+                self.last_send_latencies.push(a.last_us);
+            }
+            Some(WireResponse::Rejected(_)) => self.infeasible += 1,
+            Some(WireResponse::Error(e)) => match e.kind {
+                ErrorKind::Shed => self.rejected_queue_full += 1,
+                ErrorKind::Timeout => self.rejected_expired += 1,
+                _ => self.wire_errors += 1,
+            },
+            // Transport failure past the retry budget, or a reply that did
+            // not parse (including an unexpected `Metrics` payload).
+            _ => self.wire_errors += 1,
+        }
+    }
+}
+
+/// The requests one replay issues. Every client claims from one shared
+/// counter, and a request's index doubles as its wire id.
+struct Work {
+    requests: usize,
+    next: AtomicUsize,
+    /// The fixed-rate arrival clock: request `i` leaves no earlier than
+    /// `start + i · step`; no step is an open throttle.
+    start: Instant,
+    step: Option<Duration>,
+}
+
+impl Work {
+    fn new(requests: usize, qps: f64) -> Self {
+        Work {
+            requests,
+            next: AtomicUsize::new(0),
+            start: Instant::now(),
+            step: (qps > 0.0).then(|| Duration::from_secs_f64(1.0 / qps)),
+        }
+    }
+
+    /// Claims the next `count` requests (fewer at the end of the replay)
+    /// once the first one's arrival slot has come.
+    fn claim(&self, count: usize) -> Option<Range<u64>> {
+        let base = self.next.fetch_add(count, Ordering::Relaxed);
+        if base >= self.requests {
+            return None;
+        }
+        if let Some(step) = self.step {
+            let slot = self.start + step * base as u32;
+            let now = Instant::now();
+            if slot > now {
+                std::thread::sleep(slot - now);
+            }
+        }
+        Some(base as u64..(base + count).min(self.requests) as u64)
     }
 }
 
@@ -307,61 +340,44 @@ pub fn run(service: &Service, spec: &LoadSpec) -> LoadReport {
         "load spec generated no feasible instances"
     );
 
-    let next = AtomicUsize::new(0);
+    let work = Work::new(spec.requests, spec.qps);
     let tally = Mutex::new(Tally::default());
-    let start = Instant::now();
-    let interval = if spec.qps > 0.0 {
-        Some(Duration::from_secs_f64(1.0 / spec.qps))
-    } else {
-        None
-    };
-
     std::thread::scope(|s| {
         for _ in 0..spec.clients.max(1) {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= spec.requests {
-                    break;
-                }
-                if let Some(step) = interval {
-                    let slot = start + step * i as u32;
-                    let now = Instant::now();
-                    if slot > now {
-                        std::thread::sleep(slot - now);
-                    }
-                }
-                let out = service.provision(Request {
-                    instance: pool[i % pool.len()].clone(),
-                    deadline: spec.deadline_ms.map(Duration::from_millis),
-                    kernel: spec.kernel,
-                });
-                let mut t = lock_recover(&tally);
-                match out {
-                    Ok(r) => {
-                        let us = r.latency.as_micros().min(u128::from(u64::MAX)) as u64;
-                        // In-process there is no transport, so the first
-                        // and last send coincide.
-                        t.record_solved(
-                            r.rung,
-                            r.cache_hit,
-                            r.coalesced,
-                            r.deadline_missed,
-                            us,
-                            us,
-                        );
-                    }
-                    Err(Rejection::QueueFull) => t.rejected_queue_full += 1,
-                    Err(Rejection::DeadlineExpired) => t.rejected_expired += 1,
-                    Err(Rejection::Infeasible | Rejection::ShuttingDown) => t.infeasible += 1,
-                    Err(Rejection::SolverPanic(_) | Rejection::Quarantined) => t.wire_errors += 1,
+            s.spawn(|| {
+                while let Some(ids) = work.claim(1) {
+                    let out = service.provision(Request {
+                        instance: pool[ids.start as usize % pool.len()].clone(),
+                        deadline: spec.deadline_ms.map(Duration::from_millis),
+                        kernel: spec.kernel,
+                    });
+                    // In-process there is no transport: the service's own
+                    // latency is both the first- and the last-send view.
+                    let us = out.as_ref().map_or(0, |r| micros(r.latency));
+                    lock_recover(&tally).record(Answer {
+                        response: Some(proto::solve_response(out)),
+                        first_us: us,
+                        last_us: us,
+                        overtook: 0,
+                    });
                 }
             });
         }
     });
 
-    let wall = start.elapsed();
+    let wall = work.start.elapsed();
     let t = tally.into_inner().unwrap_or_else(|e| e.into_inner());
     build_report(spec.requests as u64, wall, t, 0, 1, 1, service.metrics())
+}
+
+fn micros(d: Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
+}
+
+/// Latency over every answer, over the cache hits, and over the misses.
+fn summaries(hits: Vec<u64>, misses: Vec<u64>) -> [LatencySummary; 3] {
+    let all = hits.iter().chain(&misses).copied().collect();
+    [all, hits, misses].map(LatencySummary::from_samples)
 }
 
 fn build_report(
@@ -373,12 +389,8 @@ fn build_report(
     batch_size: u64,
     service_metrics: MetricsSnapshot,
 ) -> LoadReport {
-    let all: Vec<u64> = t
-        .hit_latencies
-        .iter()
-        .chain(t.miss_latencies.iter())
-        .copied()
-        .collect();
+    let [latency, latency_cache_hit, latency_cache_miss] =
+        summaries(t.hit_latencies, t.miss_latencies);
     LoadReport {
         issued,
         completed: t.completed,
@@ -413,9 +425,9 @@ fn build_report(
                 }
             })
             .collect(),
-        latency: LatencySummary::from_samples(all),
-        latency_cache_hit: LatencySummary::from_samples(t.hit_latencies),
-        latency_cache_miss: LatencySummary::from_samples(t.miss_latencies),
+        latency,
+        latency_cache_hit,
+        latency_cache_miss,
         latency_last_send: LatencySummary::from_samples(t.last_send_latencies),
         service_metrics,
     }
@@ -429,8 +441,10 @@ pub struct RemoteSpec {
     /// across the targets and rotate to the next one on each reconnect,
     /// so a replay keeps going while any listed replica answers.
     pub addr: String,
-    /// Reconnect-and-reissue attempts per request after a transport
-    /// error, with jittered exponential backoff between attempts.
+    /// Reconnect-and-reissue attempts after a transport error, with
+    /// jittered exponential backoff between attempts. The count resets on
+    /// every reply; once it is spent, every request still outstanding on
+    /// the connection is tallied under `wire_errors`.
     pub retries: u32,
 }
 
@@ -466,147 +480,60 @@ fn backoff_delay(attempt: u32, salt: u64) -> Duration {
     Duration::from_millis(cap / 2 + j % (cap / 2 + 1))
 }
 
-/// One client's connection to the server, lazily (re)established. With a
-/// comma-separated address list the client starts on a salt-determined
-/// target (spreading concurrent clients across replicas) and rotates to
-/// the next target on every reconnect.
-struct WireClient {
-    addrs: Vec<String>,
-    target: usize,
-    retries: u32,
-    salt: u64,
-    conn: Option<BufReader<TcpStream>>,
+/// How a windowed client frames its requests: at most `lines` lines on
+/// the wire, each carrying `per_line` requests. With more than one per
+/// line, each line is one `SolveBatch` and the window refills only once
+/// it has drained.
+#[derive(Clone, Copy)]
+struct Shape {
+    lines: usize,
+    per_line: usize,
 }
 
-impl WireClient {
-    fn new(addr: &str, retries: u32, salt: u64) -> Self {
-        let mut addrs: Vec<String> = addr
-            .split(',')
-            .map(str::trim)
-            .filter(|a| !a.is_empty())
-            .map(str::to_string)
-            .collect();
-        if addrs.is_empty() {
-            addrs.push(addr.to_string());
+impl Shape {
+    const ONE: Shape = Shape {
+        lines: 1,
+        per_line: 1,
+    };
+
+    /// The window `spec` asks for, `max(pipeline, batch, 1)` deep:
+    /// `pipeline` lines of one request, or one line of `batch`.
+    fn of(spec: &LoadSpec) -> std::io::Result<Shape> {
+        if spec.pipeline > 1 && spec.batch > 1 {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "pipeline and batch are mutually exclusive",
+            ));
         }
-        let target = salt as usize % addrs.len();
-        WireClient {
-            addrs,
-            target,
-            retries,
-            salt,
-            conn: None,
-        }
+        Ok(Shape {
+            lines: spec.pipeline.max(1),
+            per_line: spec.batch.max(1),
+        })
     }
 
-    /// Drops the current connection and moves to the next target address.
-    fn rotate(&mut self) {
-        self.conn = None;
-        self.target = self.target.wrapping_add(1) % self.addrs.len();
-    }
-
-    /// Sends one request line and reads one reply line, reconnecting and
-    /// reissuing (the protocol is stateless per line, so a reissue is
-    /// safe) up to the retry budget. Returns the instant the answered
-    /// attempt was written alongside the reply, so callers can report
-    /// replica latency separately from retry/backoff time.
-    fn roundtrip(
-        &mut self,
-        line: &str,
-        retries_made: &AtomicU64,
-    ) -> std::io::Result<(Instant, String)> {
-        let (sent, mut replies) = self.roundtrip_many(line, 1, retries_made)?;
-        Ok((sent, replies.remove(0).1))
-    }
-
-    /// Sends one request line and reads `replies` reply lines — the
-    /// multi-response shape of a `SolveBatch` line — with the same
-    /// reconnect-and-reissue policy as [`WireClient::roundtrip`]. The
-    /// returned instant is when the answered attempt's line was written;
-    /// each reply carries its receipt instant so per-query latency can
-    /// span only until *that* response arrived, not until the whole
-    /// batch drained.
-    fn roundtrip_many(
-        &mut self,
-        line: &str,
-        replies: usize,
-        retries_made: &AtomicU64,
-    ) -> std::io::Result<(Instant, Vec<(Instant, String)>)> {
-        let mut attempt = 0u32;
-        loop {
-            match self.try_roundtrip_many(line, replies) {
-                Ok(out) => return Ok(out),
-                Err(e) => {
-                    self.rotate();
-                    if attempt >= self.retries {
-                        return Err(e);
-                    }
-                    retries_made.fetch_add(1, Ordering::Relaxed);
-                    self.salt = self.salt.wrapping_add(0x9e37_79b9_7f4a_7c15);
-                    std::thread::sleep(backoff_delay(attempt, self.salt));
-                    attempt += 1;
-                }
-            }
-        }
-    }
-
-    fn try_roundtrip_many(
-        &mut self,
-        line: &str,
-        replies: usize,
-    ) -> std::io::Result<(Instant, Vec<(Instant, String)>)> {
-        if self.conn.is_none() {
-            let addr = &self.addrs[self.target % self.addrs.len()];
-            self.conn = Some(BufReader::new(TcpStream::connect(addr)?));
-        }
-        let reader = self.conn.as_mut().expect("connected above");
-        let sent = Instant::now();
-        write_line(reader.get_mut(), line)?;
-        let mut out = Vec::with_capacity(replies);
-        for _ in 0..replies {
-            let mut reply = String::new();
-            if reader.read_line(&mut reply)? == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "server closed the connection",
-                ));
-            }
-            out.push((Instant::now(), reply));
-        }
-        Ok((sent, out))
+    fn batch(self) -> bool {
+        self.per_line > 1
     }
 }
 
-/// Classifies one wire response (or its absence) into the tally.
-/// `latency_us` spans from the request's first send (includes retries and
-/// backoff); `latency_last_us` from its last (the attempt that was
-/// answered).
-fn tally_response(
-    t: &mut Tally,
-    response: Option<WireResponse>,
-    latency_us: u64,
-    latency_last_us: u64,
-) {
-    match response {
-        Some(WireResponse::Solved(r)) => {
-            t.record_solved(
-                r.rung,
-                r.cache_hit,
-                r.coalesced,
-                r.deadline_missed,
-                latency_us,
-                latency_last_us,
-            );
+/// What a windowed client sends.
+enum Requests<'a> {
+    /// Solves cycled by request index from pre-serialized id-less `Solve`
+    /// lines.
+    Solves(&'a [String]),
+    /// One control request (`Register`, `Epoch`, `Metrics`).
+    Control(&'a WireRequest),
+}
+
+impl Requests<'_> {
+    /// Renders the requests `ids` as one wire line: a `SolveBatch` line in
+    /// batch framing, otherwise the one request carrying its id.
+    fn render(&self, ids: &[u64], batch: bool) -> String {
+        match *self {
+            Requests::Control(request) => proto::encode_request_with_id(ids[0], request),
+            Requests::Solves(lines) if batch => batch_with_ids(lines, ids),
+            Requests::Solves(lines) => line_with_id(&lines[ids[0] as usize % lines.len()], ids[0]),
         }
-        Some(WireResponse::Rejected(_)) => t.infeasible += 1,
-        Some(WireResponse::Error(e)) => match e.kind {
-            ErrorKind::Shed => t.rejected_queue_full += 1,
-            ErrorKind::Timeout => t.rejected_expired += 1,
-            _ => t.wire_errors += 1,
-        },
-        // Transport failure past the retry budget, or a reply that did
-        // not parse (including an unexpected `Metrics` payload).
-        _ => t.wire_errors += 1,
     }
 }
 
@@ -618,304 +545,311 @@ fn line_with_id(line: &str, id: u64) -> String {
     format!("{{\"id\":{id},{}", &line[1..])
 }
 
-/// A request written to a pipelined connection and not yet answered.
+/// Splices the `Solve` payloads of `ids` (cycled from `lines`) into one
+/// `SolveBatch` line whose queries carry those ids. Equivalent to
+/// serializing a [`WireRequest::SolveBatch`] without re-serializing the
+/// instances.
+fn batch_with_ids(lines: &[String], ids: &[u64]) -> String {
+    let mut out = String::from("{\"SolveBatch\":{\"queries\":[");
+    for (n, &id) in ids.iter().enumerate() {
+        let solve = &lines[id as usize % lines.len()];
+        let payload = solve
+            .strip_prefix("{\"Solve\":{")
+            .and_then(|rest| rest.strip_suffix('}'))
+            .expect("a serialized Solve line");
+        let sep = if n == 0 { "" } else { "," };
+        let _ = write!(out, "{sep}{{\"id\":{id},{payload}");
+    }
+    out.push_str("]}}");
+    out
+}
+
+/// One request that a client has sent and not yet seen answered.
 struct Pending {
-    /// The full request line, kept for reissue after a connection death.
-    line: String,
-    /// When it was first sent; first-send latency spans reconnects,
-    /// matching the sequential client's retries-inclusive measurement.
+    id: u64,
+    /// First send: first-send latency spans every reconnect and backoff.
     first_send: Instant,
-    /// When it was last (re)issued; last-send latency excludes the dead
-    /// attempts and the reconnect backoff between them.
+    /// Latest (re)issue: last-send latency covers only the answered
+    /// attempt.
     last_send: Instant,
 }
 
-/// One pipelined client: keeps up to `depth` ids in flight on a single
-/// connection, matches responses by id in whatever order they return,
-/// and on a connection death reconnects (with the same backoff budget as
-/// the sequential client) and reissues every outstanding id.
-#[allow(clippy::too_many_arguments)]
-fn run_pipelined_client(
-    remote: &RemoteSpec,
-    depth: usize,
-    mut salt: u64,
-    spec: &LoadSpec,
-    lines: &[String],
-    next: &AtomicUsize,
-    retries_made: &AtomicU64,
-    tally: &Mutex<Tally>,
-    start: Instant,
-    interval: Option<Duration>,
-) {
-    let addrs = remote.addrs();
-    let mut conn: Option<BufReader<TcpStream>> = None;
-    let mut target = salt as usize % addrs.len();
-    let mut outstanding: HashMap<u64, Pending> = HashMap::new();
-    let mut order: VecDeque<u64> = VecDeque::new();
-    let mut exhausted = false;
-    let mut attempt = 0u32;
-    loop {
-        // (Re)establish the connection, reissuing everything outstanding
-        // oldest-first (the protocol is stateless per line, so a reissue
-        // is safe). Each reissue restamps `last_send`, so the last-send
-        // latency measures only the attempt that gets answered.
-        if conn.is_none() {
-            let established = TcpStream::connect(addrs[target % addrs.len()])
-                .ok()
-                .and_then(|s| {
-                    let mut reader = BufReader::new(s);
-                    for id in &order {
-                        let pending = outstanding.get_mut(id).expect("order tracks outstanding");
-                        pending.last_send = Instant::now();
-                        write_line(reader.get_mut(), &pending.line).ok()?;
-                    }
-                    Some(reader)
-                });
-            match established {
-                Some(reader) => conn = Some(reader),
-                None => {
-                    target = target.wrapping_add(1) % addrs.len();
-                    if attempt >= remote.retries {
-                        // Budget exhausted: fail the whole window like the
-                        // sequential client fails its one request, then
-                        // start fresh on the remainder.
-                        let mut t = lock_recover(tally);
-                        t.wire_errors += outstanding.len() as u64;
-                        drop(t);
-                        outstanding.clear();
-                        order.clear();
-                        attempt = 0;
-                        if exhausted {
-                            return;
-                        }
-                        continue;
-                    }
-                    retries_made.fetch_add(1, Ordering::Relaxed);
-                    salt = salt.wrapping_add(0x9e37_79b9_7f4a_7c15);
-                    std::thread::sleep(backoff_delay(attempt, salt));
-                    attempt += 1;
-                    continue;
-                }
-            }
-        }
-        // Fill the window, writing each request as it is claimed.
-        while !exhausted && outstanding.len() < depth {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= spec.requests {
-                exhausted = true;
-                break;
-            }
-            if let Some(step) = interval {
-                let slot = start + step * i as u32;
-                let now = Instant::now();
-                if slot > now {
-                    std::thread::sleep(slot - now);
-                }
-            }
-            let id = i as u64;
-            let line = line_with_id(&lines[i % lines.len()], id);
-            let wrote = conn
-                .as_mut()
-                .is_some_and(|reader| write_line(reader.get_mut(), &line).is_ok());
-            let now = Instant::now();
-            outstanding.insert(
-                id,
-                Pending {
-                    line,
-                    first_send: now,
-                    last_send: now,
-                },
-            );
-            order.push_back(id);
-            if !wrote {
-                conn = None;
-                target = target.wrapping_add(1) % addrs.len();
-                break;
-            }
-        }
-        if conn.is_none() {
-            continue;
-        }
-        if outstanding.is_empty() {
-            return; // exhausted and fully answered
-        }
-        // Read one reply and match it to its id.
-        let mut reply = String::new();
-        let read = conn
-            .as_mut()
-            .map(|reader| reader.read_line(&mut reply))
-            .expect("connection established above");
-        match read {
-            Ok(n) if n > 0 => {
-                attempt = 0;
-                match proto::decode_response_line(reply.trim()) {
-                    Ok((Some(id), response)) if outstanding.contains_key(&id) => {
-                        let pos = order
-                            .iter()
-                            .position(|&x| x == id)
-                            .expect("outstanding ids are ordered");
-                        order.remove(pos);
-                        let pending = outstanding.remove(&id).expect("checked above");
-                        let us = pending
-                            .first_send
-                            .elapsed()
-                            .as_micros()
-                            .min(u128::from(u64::MAX)) as u64;
-                        let us_last = pending
-                            .last_send
-                            .elapsed()
-                            .as_micros()
-                            .min(u128::from(u64::MAX)) as u64;
-                        let mut t = lock_recover(tally);
-                        if pos > 0 {
-                            t.out_of_order += 1;
-                            t.reorder_depth_max = t.reorder_depth_max.max(pos as u64);
-                        }
-                        tally_response(&mut t, Some(response), us, us_last);
-                    }
-                    other => {
-                        // An id-less line (e.g. a shed error written at
-                        // accept) or an unknown id: charge it to the
-                        // oldest outstanding request.
-                        if let Some(id) = order.pop_front() {
-                            let pending =
-                                outstanding.remove(&id).expect("order tracks outstanding");
-                            let us = pending
-                                .first_send
-                                .elapsed()
-                                .as_micros()
-                                .min(u128::from(u64::MAX))
-                                as u64;
-                            let us_last = pending
-                                .last_send
-                                .elapsed()
-                                .as_micros()
-                                .min(u128::from(u64::MAX))
-                                as u64;
-                            let response = other.ok().map(|(_, r)| r);
-                            tally_response(&mut lock_recover(tally), response, us, us_last);
-                        }
-                    }
-                }
-            }
-            _ => {
-                // EOF or transport error with a window in flight.
-                conn = None;
-                target = target.wrapping_add(1) % addrs.len();
-                if attempt >= remote.retries {
-                    let mut t = lock_recover(tally);
-                    t.wire_errors += outstanding.len() as u64;
-                    drop(t);
-                    outstanding.clear();
-                    order.clear();
-                    attempt = 0;
-                    if exhausted {
-                        return;
-                    }
-                    continue;
-                }
-                retries_made.fetch_add(1, Ordering::Relaxed);
-                salt = salt.wrapping_add(0x9e37_79b9_7f4a_7c15);
-                std::thread::sleep(backoff_delay(attempt, salt));
-                attempt += 1;
-            }
+impl Pending {
+    fn answer(&self, response: Option<WireResponse>, received: Instant, overtook: u64) -> Answer {
+        Answer {
+            response,
+            first_us: micros(received - self.first_send),
+            last_us: micros(received - self.last_send),
+            overtook,
         }
     }
 }
 
-/// One batched client: claims `batch` request indices per window, sends
-/// them as a single `SolveBatch` line (ids = request indices), and reads
-/// the per-query responses back, matching them by id. A transport error
-/// reissues the whole line (the protocol is stateless per line); a
-/// window that exhausts its retry budget is charged to `wire_errors`
-/// query by query, like the sequential client's single request.
-#[allow(clippy::too_many_arguments)]
-fn run_batched_client(
-    remote: &RemoteSpec,
-    batch: usize,
-    salt: u64,
-    spec: &LoadSpec,
-    pool: &[krsp::Instance],
-    next: &AtomicUsize,
-    retries_made: &AtomicU64,
-    tally: &Mutex<Tally>,
-    start: Instant,
-    interval: Option<Duration>,
-) {
-    let mut client = WireClient::new(&remote.addr, remote.retries, salt);
-    loop {
-        let base = next.fetch_add(batch, Ordering::Relaxed);
-        if base >= spec.requests {
-            return;
-        }
-        let count = batch.min(spec.requests - base);
-        if let Some(step) = interval {
-            // The whole window departs on its first query's arrival slot:
-            // batching trades per-query pacing for amortization.
-            let slot = start + step * base as u32;
-            let now = Instant::now();
-            if slot > now {
-                std::thread::sleep(slot - now);
+/// One request's outcome as its windowed client saw it.
+struct Answer {
+    /// The reply; `None` when the retry budget ran out or the reply did not
+    /// parse.
+    response: Option<WireResponse>,
+    first_us: u64,
+    last_us: u64,
+    /// Earlier-sent requests still unanswered when the reply arrived.
+    overtook: u64,
+}
+
+/// The lines a client has on the wire, oldest first, each holding its
+/// unanswered requests in send order.
+type Window = VecDeque<Vec<Pending>>;
+
+/// Removes request `id` from the window, with how many earlier-sent
+/// requests are still unanswered.
+fn take(window: &mut Window, id: u64) -> Option<(Pending, u64)> {
+    let mut earlier = 0;
+    for l in 0..window.len() {
+        if let Some(q) = window[l].iter().position(|p| p.id == id) {
+            let pending = window[l].remove(q);
+            if window[l].is_empty() {
+                window.remove(l);
             }
+            return Some((pending, earlier + q as u64));
         }
-        let queries: Vec<BatchQuery> = (0..count)
-            .map(|j| BatchQuery {
-                id: (base + j) as u64,
-                instance: pool[(base + j) % pool.len()].clone(),
-                deadline_ms: spec.deadline_ms,
-                kernel: spec.kernel,
-            })
-            .collect();
-        let line =
-            match serde_json::to_string(&WireRequest::SolveBatch(SolveBatchRequest { queries })) {
-                Ok(line) => line,
-                Err(_) => {
-                    // Unreachable in practice: the pool pre-serialized.
-                    lock_recover(tally).wire_errors += count as u64;
-                    continue;
+        earlier += window[l].len() as u64;
+    }
+    None
+}
+
+/// One client's connection, lazily (re)established. With a
+/// comma-separated address list the client starts on a salt-determined
+/// target (spreading concurrent clients across replicas) and rotates to
+/// the next target on every reconnect.
+struct WireClient<'a> {
+    addrs: Vec<&'a str>,
+    target: usize,
+    retries: u32,
+    salt: u64,
+    conn: Option<BufReader<TcpStream>>,
+}
+
+impl<'a> WireClient<'a> {
+    fn new(remote: &'a RemoteSpec, salt: u64) -> Self {
+        let addrs = remote.addrs();
+        WireClient {
+            target: salt as usize % addrs.len(),
+            addrs,
+            retries: remote.retries,
+            salt,
+            conn: None,
+        }
+    }
+
+    /// Sends `work` over this client's connection and hands every
+    /// request's outcome to `answer`, exactly once each; returns when the
+    /// work is claimed and answered.
+    ///
+    /// * Window: up to `shape.lines` lines stay on the wire, refilled
+    ///   whenever one has been answered in full.
+    /// * Matching: a reply with an outstanding id answers that request. A
+    ///   reply with no id or an unknown id (a shed at accept, an oversize
+    ///   batch line) answers the oldest line: every request it still
+    ///   carries.
+    /// * Reissue: a dead connection rotates to the next target, backs off,
+    ///   and re-sends only the unanswered requests, each line re-rendered
+    ///   from the requests it still carries. The attempt count resets on
+    ///   any reply; once `retries` is spent, every outstanding request is
+    ///   answered with `None`.
+    fn drive(
+        &mut self,
+        requests: &Requests,
+        work: &Work,
+        shape: Shape,
+        retries_made: &AtomicU64,
+        answer: &mut dyn FnMut(Answer),
+    ) {
+        let mut window = Window::new();
+        let mut attempt = 0u32;
+        loop {
+            if self.conn.is_none() && !window.is_empty() {
+                if self
+                    .reconnect(&mut window, requests, shape.batch())
+                    .is_err()
+                {
+                    self.fail(&mut window, &mut attempt, retries_made, answer);
                 }
+                continue;
+            }
+            let claimed = if window.len() < shape.lines {
+                work.claim(shape.per_line)
+            } else {
+                None
             };
-        let first_send = Instant::now();
-        match client.roundtrip_many(&line, count, retries_made) {
-            Ok((last_send, replies)) => {
-                let mut expected: VecDeque<u64> = (base as u64..(base + count) as u64).collect();
-                for (received, reply) in replies {
-                    let us = received
-                        .duration_since(first_send)
-                        .as_micros()
-                        .min(u128::from(u64::MAX)) as u64;
-                    let us_last = received
-                        .duration_since(last_send)
-                        .as_micros()
-                        .min(u128::from(u64::MAX)) as u64;
-                    match proto::decode_response_line(reply.trim()) {
-                        Ok((Some(id), response)) if expected.contains(&id) => {
-                            let pos = expected
-                                .iter()
-                                .position(|&x| x == id)
-                                .expect("checked contains above");
-                            expected.remove(pos);
-                            let mut t = lock_recover(tally);
-                            if pos > 0 {
-                                t.out_of_order += 1;
-                                t.reorder_depth_max = t.reorder_depth_max.max(pos as u64);
-                            }
-                            tally_response(&mut t, Some(response), us, us_last);
+            if let Some(ids) = claimed {
+                let ids: Vec<u64> = ids.collect();
+                let now = Instant::now();
+                window.push_back(
+                    ids.iter()
+                        .map(|&id| Pending {
+                            id,
+                            first_send: now,
+                            last_send: now,
+                        })
+                        .collect(),
+                );
+                let sent = match self.conn.as_mut() {
+                    Some(conn) => write_line(conn.get_mut(), &requests.render(&ids, shape.batch())),
+                    None => self.reconnect(&mut window, requests, shape.batch()),
+                };
+                if sent.is_err() {
+                    self.fail(&mut window, &mut attempt, retries_made, answer);
+                }
+                continue;
+            }
+            if window.is_empty() {
+                return; // nothing outstanding and nothing left to claim
+            }
+            let conn = self.conn.as_mut().expect("a sent window has a connection");
+            let mut reply = String::new();
+            match conn.read_line(&mut reply) {
+                Ok(n) if n > 0 => {
+                    attempt = 0;
+                    let received = Instant::now();
+                    let decoded = proto::decode_response_line(reply.trim());
+                    let matched = match decoded {
+                        Ok((Some(id), _)) => take(&mut window, id),
+                        _ => None,
+                    };
+                    let response = decoded.ok().map(|(_, r)| r);
+                    match matched {
+                        Some((pending, overtook)) => {
+                            answer(pending.answer(response, received, overtook));
                         }
-                        other => {
-                            // An id-less or unknown-id line: charge it to
-                            // the oldest unanswered query in the window.
-                            if expected.pop_front().is_some() {
-                                let response = other.ok().map(|(_, r)| r);
-                                tally_response(&mut lock_recover(tally), response, us, us_last);
+                        None => {
+                            for pending in window.pop_front().unwrap_or_default() {
+                                answer(pending.answer(response.clone(), received, 0));
                             }
                         }
                     }
                 }
+                _ => self.fail(&mut window, &mut attempt, retries_made, answer),
             }
-            Err(_) => lock_recover(tally).wire_errors += count as u64,
         }
     }
+
+    /// Connects to the current target and (re)sends every line in the
+    /// window, restamping each request's last send.
+    fn reconnect(
+        &mut self,
+        window: &mut Window,
+        requests: &Requests,
+        batch: bool,
+    ) -> std::io::Result<()> {
+        let mut conn = BufReader::new(TcpStream::connect(self.addrs[self.target])?);
+        for line in window.iter_mut() {
+            let ids: Vec<u64> = line.iter().map(|p| p.id).collect();
+            let text = requests.render(&ids, batch);
+            let now = Instant::now();
+            for pending in line.iter_mut() {
+                pending.last_send = now;
+            }
+            write_line(conn.get_mut(), &text)?;
+        }
+        self.conn = Some(conn);
+        Ok(())
+    }
+
+    /// A transport error: drop the connection and rotate to the next
+    /// target, then back off for a reissue — or, with the budget spent,
+    /// answer everything outstanding with `None`.
+    fn fail(
+        &mut self,
+        window: &mut Window,
+        attempt: &mut u32,
+        retries_made: &AtomicU64,
+        answer: &mut dyn FnMut(Answer),
+    ) {
+        self.conn = None;
+        self.target = (self.target + 1) % self.addrs.len();
+        if *attempt >= self.retries {
+            *attempt = 0;
+            let now = Instant::now();
+            for pending in window.drain(..).flatten() {
+                answer(pending.answer(None, now, 0));
+            }
+            return;
+        }
+        retries_made.fetch_add(1, Ordering::Relaxed);
+        self.salt = self.salt.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        std::thread::sleep(backoff_delay(*attempt, self.salt));
+        *attempt += 1;
+    }
+
+    /// Sends one control request and returns its reply.
+    fn call(
+        &mut self,
+        request: &WireRequest,
+        retries_made: &AtomicU64,
+    ) -> std::io::Result<WireResponse> {
+        let mut reply = None;
+        self.drive(
+            &Requests::Control(request),
+            &Work::new(1, 0.0),
+            Shape::ONE,
+            retries_made,
+            &mut |a| reply = a.response,
+        );
+        reply.ok_or_else(|| {
+            std::io::Error::other("no parseable reply to a control request within the retry budget")
+        })
+    }
+}
+
+/// Fetches the server's metrics snapshot over `client`; a server that
+/// cannot answer yields the default (all-zero) snapshot.
+fn fetch_metrics(client: &mut WireClient, retries_made: &AtomicU64) -> MetricsSnapshot {
+    match client.call(&WireRequest::Metrics, retries_made) {
+        Ok(WireResponse::Metrics(m)) => m,
+        _ => MetricsSnapshot::default(),
+    }
+}
+
+/// Serializes one id-less `Solve` line per pool instance.
+fn solve_lines(pool: &[krsp::Instance], spec: &LoadSpec) -> std::io::Result<Vec<String>> {
+    pool.iter()
+        .map(|inst| {
+            serde_json::to_string(&WireRequest::Solve(SolveRequest {
+                instance: inst.clone(),
+                deadline_ms: spec.deadline_ms,
+                kernel: spec.kernel,
+            }))
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
+        })
+        .collect()
+}
+
+/// Replays `spec.requests` solves cycled from `lines` over `spec.clients`
+/// windowed clients, one connection each, at `spec.qps`.
+fn replay(
+    spec: &LoadSpec,
+    remote: &RemoteSpec,
+    lines: &[String],
+    retries_made: &AtomicU64,
+) -> std::io::Result<Tally> {
+    let shape = Shape::of(spec)?;
+    let work = Work::new(spec.requests, spec.qps);
+    let tally = Mutex::new(Tally::default());
+    std::thread::scope(|s| {
+        for c in 0..spec.clients.max(1) {
+            let (work, tally) = (&work, &tally);
+            s.spawn(move || {
+                WireClient::new(remote, spec.seed ^ (c as u64 + 1)).drive(
+                    &Requests::Solves(lines),
+                    work,
+                    shape,
+                    retries_made,
+                    &mut |a| lock_recover(tally).record(a),
+                );
+            });
+        }
+    });
+    Ok(tally.into_inner().unwrap_or_else(|e| e.into_inner()))
 }
 
 /// Replays `spec` over the NDJSON wire protocol against the server (or
@@ -924,26 +858,24 @@ fn run_batched_client(
 /// connections across the list and rotate to the next target on each
 /// reconnect.
 ///
-/// Transport errors reconnect and reissue with backoff; a request that
-/// exhausts its retry budget is tallied under `wire_errors` rather than
-/// failing the replay. Answered requests contribute to two latency
-/// distributions: [`LoadReport::latency`] from the first send (spans
-/// retries and backoff) and [`LoadReport::latency_last_send`] from the
-/// answered attempt's send. The final metrics snapshot is fetched over a
-/// fresh connection (left at its default if the server is already gone).
+/// Every client keeps a window of `max(pipeline, batch, 1)` requests in
+/// flight, each carrying its id. With [`LoadSpec::batch`] > 1 a window
+/// leaves as one `SolveBatch` line and the next is claimed once it has
+/// drained; otherwise each request is its own line and the window refills
+/// as replies arrive. Replies are matched by id, in completion order (the
+/// report carries the observed reordering, `out_of_order_replies` and
+/// `reorder_depth_max`); a reply without a known id answers the oldest
+/// line on the connection, every query it still carries.
 ///
-/// With [`LoadSpec::pipeline`] > 1 each client keeps that many requests
-/// in flight per connection, tagging them with ids and matching the
-/// responses in completion order; the report then carries the observed
-/// reordering (`out_of_order_replies`, `reorder_depth_max`) and per-id
-/// latencies. A connection that dies mid-window reissues every
-/// outstanding id on the replacement connection.
-///
-/// With [`LoadSpec::batch`] > 1 each client instead groups that many
-/// claimed requests into a single `SolveBatch` line per round trip and
-/// matches the per-query responses by id; per-query latency spans from
-/// the batch line's send to the receipt of the response carrying that
-/// query's id.
+/// Transport errors reconnect and re-send only the unanswered requests,
+/// with backoff; requests still outstanding once the retry budget is
+/// spent are tallied under `wire_errors` rather than failing the replay.
+/// Answered requests contribute to two latency distributions:
+/// [`LoadReport::latency`] from the first send (spans retries and
+/// backoff) and [`LoadReport::latency_last_send`] from the answered
+/// attempt's send; in batch framing both run to the receipt of that
+/// query's own reply. The final metrics snapshot is fetched over a fresh
+/// connection (left at its default if the server is already gone).
 ///
 /// # Errors
 /// Returns an error when a request line cannot be serialized or when
@@ -959,128 +891,19 @@ pub fn run_remote(spec: &LoadSpec, remote: &RemoteSpec) -> std::io::Result<LoadR
         !pool.is_empty(),
         "load spec generated no feasible instances"
     );
-    let lines: Vec<String> = pool
-        .iter()
-        .map(|inst| {
-            serde_json::to_string(&WireRequest::Solve(SolveRequest {
-                instance: inst.clone(),
-                deadline_ms: spec.deadline_ms,
-                kernel: spec.kernel,
-            }))
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
-        })
-        .collect::<std::io::Result<_>>()?;
-
-    let next = AtomicUsize::new(0);
+    let lines = solve_lines(&pool, spec)?;
     let retries_made = AtomicU64::new(0);
-    let tally = Mutex::new(Tally::default());
     let start = Instant::now();
-    let interval = if spec.qps > 0.0 {
-        Some(Duration::from_secs_f64(1.0 / spec.qps))
-    } else {
-        None
-    };
-
-    let depth = spec.pipeline.max(1);
-    let batch = spec.batch.max(1);
-    if depth > 1 && batch > 1 {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            "pipeline and batch are mutually exclusive",
-        ));
-    }
-    std::thread::scope(|s| {
-        for c in 0..spec.clients.max(1) {
-            let (next, retries_made, tally, lines, pool) =
-                (&next, &retries_made, &tally, &lines, &pool);
-            let salt = spec.seed ^ (c as u64 + 1);
-            if batch > 1 {
-                s.spawn(move || {
-                    run_batched_client(
-                        remote,
-                        batch,
-                        salt,
-                        spec,
-                        pool,
-                        next,
-                        retries_made,
-                        tally,
-                        start,
-                        interval,
-                    );
-                });
-                continue;
-            }
-            if depth > 1 {
-                s.spawn(move || {
-                    run_pipelined_client(
-                        remote,
-                        depth,
-                        salt,
-                        spec,
-                        lines,
-                        next,
-                        retries_made,
-                        tally,
-                        start,
-                        interval,
-                    );
-                });
-                continue;
-            }
-            let mut client = WireClient::new(&remote.addr, remote.retries, salt);
-            s.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= spec.requests {
-                    break;
-                }
-                if let Some(step) = interval {
-                    let slot = start + step * i as u32;
-                    let now = Instant::now();
-                    if slot > now {
-                        std::thread::sleep(slot - now);
-                    }
-                }
-                let first_send = Instant::now();
-                let reply = client.roundtrip(&lines[i % lines.len()], retries_made);
-                let received = Instant::now();
-                let (last_send, response) = match reply {
-                    Ok((sent, r)) => (sent, serde_json::from_str::<WireResponse>(r.trim()).ok()),
-                    Err(_) => (first_send, None),
-                };
-                let us = received
-                    .duration_since(first_send)
-                    .as_micros()
-                    .min(u128::from(u64::MAX)) as u64;
-                let us_last = received
-                    .duration_since(last_send)
-                    .as_micros()
-                    .min(u128::from(u64::MAX)) as u64;
-                tally_response(&mut lock_recover(tally), response, us, us_last);
-            });
-        }
-    });
-
+    let t = replay(spec, remote, &lines, &retries_made)?;
     let wall = start.elapsed();
-    let t = tally.into_inner().unwrap_or_else(|e| e.into_inner());
-    let metrics_line =
-        serde_json::to_string(&WireRequest::Metrics).unwrap_or_else(|_| "\"Metrics\"".to_string());
-    let service_metrics = WireClient::new(&remote.addr, remote.retries, spec.seed)
-        .roundtrip(&metrics_line, &retries_made)
-        .ok()
-        .and_then(|(_, r)| serde_json::from_str::<WireResponse>(r.trim()).ok())
-        .and_then(|r| match r {
-            WireResponse::Metrics(m) => Some(m),
-            _ => None,
-        })
-        .unwrap_or_default();
+    let service_metrics = fetch_metrics(&mut WireClient::new(remote, spec.seed), &retries_made);
     Ok(build_report(
         spec.requests as u64,
         wall,
         t,
         retries_made.load(Ordering::Relaxed),
-        depth as u64,
-        batch as u64,
+        spec.pipeline.max(1) as u64,
+        spec.batch.max(1) as u64,
         service_metrics,
     ))
 }
@@ -1163,29 +986,14 @@ pub struct RollingReport {
     pub service_metrics: MetricsSnapshot,
 }
 
-/// Fetches the server's metrics snapshot over `client`; a server that
-/// cannot answer yields the default (all-zero) snapshot, mirroring
-/// [`run_remote`]'s final fetch.
-fn fetch_metrics(client: &mut WireClient, retries_made: &AtomicU64) -> MetricsSnapshot {
-    let line =
-        serde_json::to_string(&WireRequest::Metrics).unwrap_or_else(|_| "\"Metrics\"".to_string());
-    client
-        .roundtrip(&line, retries_made)
-        .ok()
-        .and_then(|(_, r)| serde_json::from_str::<WireResponse>(r.trim()).ok())
-        .and_then(|r| match r {
-            WireResponse::Metrics(m) => Some(m),
-            _ => None,
-        })
-        .unwrap_or_default()
-}
-
 /// Replays a rolling-update scenario over the wire: registers every pool
 /// instance's topology as a lineage, then alternates traffic windows with
 /// epoch advances whose cost ramps are mirrored onto the client-side
 /// instances (so each window's requests match the lineage's *current*
 /// weights and land in the epoch-scoped cache lane rather than missing
-/// into canonical keys).
+/// into canonical keys). Each window is a [`run_remote`]-shaped replay of
+/// `spec` — its clients, window shape and arrival rate — while
+/// registration, advances and metrics go over one control connection.
 ///
 /// Each window's report carries both client-side outcomes (completion,
 /// hits, exact latency order statistics) and server-side counter deltas
@@ -1194,9 +1002,10 @@ fn fetch_metrics(client: &mut WireClient, retries_made: &AtomicU64) -> MetricsSn
 ///
 /// # Errors
 /// Returns an error when registration fails (transport or a non-
-/// `Registered` reply), when a request line cannot be serialized, or when
-/// a ramped instance no longer validates — transport failures *during* a
-/// window are absorbed into that window's `wire_errors` instead.
+/// `Registered` reply), when a request line cannot be serialized, when
+/// `pipeline` and `batch` are both above 1, or when a ramped instance no
+/// longer validates — transport failures *during* a window are absorbed
+/// into that window's `wire_errors` instead.
 ///
 /// # Panics
 /// Panics when no feasible instance can be generated from the spec.
@@ -1213,19 +1022,17 @@ pub fn run_rolling(
     );
 
     let retries_made = AtomicU64::new(0);
-    let mut client = WireClient::new(&remote.addr, remote.retries, spec.seed);
+    let mut control = WireClient::new(remote, spec.seed);
 
     // Register every instance's topology; the handle (a hex structural
     // digest) names the lineage in later Epoch advances.
     let mut topos: Vec<String> = Vec::with_capacity(pool.len());
     for inst in &pool {
-        let line = serde_json::to_string(&WireRequest::Register(proto::RegisterRequest {
+        let register = WireRequest::Register(proto::RegisterRequest {
             graph: inst.graph.clone(),
-        }))
-        .map_err(|e| invalid(e.to_string()))?;
-        let (_, reply) = client.roundtrip(&line, &retries_made)?;
-        match serde_json::from_str::<WireResponse>(reply.trim()) {
-            Ok(WireResponse::Registered(r)) => topos.push(r.topo),
+        });
+        match control.call(&register, &retries_made)? {
+            WireResponse::Registered(r) => topos.push(r.topo),
             other => {
                 return Err(invalid(format!(
                     "registration got a non-Registered reply: {other:?}"
@@ -1251,22 +1058,19 @@ pub fn run_rolling(
                         .wrapping_add(7919 * w as u64)
                         .wrapping_add(i as u64),
                 );
-                let wire: Vec<proto::WireChange> = changes
-                    .iter()
-                    .map(|c| proto::WireChange {
-                        edge: c.edge.0,
-                        cost: c.cost,
-                        delay: c.delay,
-                    })
-                    .collect();
-                let line = serde_json::to_string(&WireRequest::Epoch(proto::EpochRequest {
+                let advance = WireRequest::Epoch(proto::EpochRequest {
                     topo: topos[i].clone(),
-                    changes: wire,
-                }))
-                .map_err(|e| invalid(e.to_string()))?;
-                let (_, reply) = client.roundtrip(&line, &retries_made)?;
-                match serde_json::from_str::<WireResponse>(reply.trim()) {
-                    Ok(WireResponse::Epoch(r)) => {
+                    changes: changes
+                        .iter()
+                        .map(|c| proto::WireChange {
+                            edge: c.edge.0,
+                            cost: c.cost,
+                            delay: c.delay,
+                        })
+                        .collect(),
+                });
+                match control.call(&advance, &retries_made)? {
+                    WireResponse::Epoch(r) => {
                         retained += r.retained;
                         evicted += r.evicted;
                         seeds += r.seeds;
@@ -1283,46 +1087,13 @@ pub fn run_rolling(
             }
         }
 
-        let lines: Vec<String> = pool
-            .iter()
-            .map(|inst| {
-                serde_json::to_string(&WireRequest::Solve(SolveRequest {
-                    instance: inst.clone(),
-                    deadline_ms: spec.deadline_ms,
-                    kernel: spec.kernel,
-                }))
-                .map_err(|e| invalid(e.to_string()))
-            })
-            .collect::<std::io::Result<_>>()?;
+        let lines = solve_lines(&pool, spec)?;
+        let before = fetch_metrics(&mut control, &retries_made);
+        let t = replay(spec, remote, &lines, &retries_made)?;
+        let after = fetch_metrics(&mut control, &retries_made);
 
-        let before = fetch_metrics(&mut client, &retries_made);
-        let mut t = Tally::default();
-        for i in 0..spec.requests {
-            let first_send = Instant::now();
-            let reply = client.roundtrip(&lines[i % lines.len()], &retries_made);
-            let received = Instant::now();
-            let (last_send, response) = match reply {
-                Ok((sent, r)) => (sent, serde_json::from_str::<WireResponse>(r.trim()).ok()),
-                Err(_) => (first_send, None),
-            };
-            let us = received
-                .duration_since(first_send)
-                .as_micros()
-                .min(u128::from(u64::MAX)) as u64;
-            let us_last = received
-                .duration_since(last_send)
-                .as_micros()
-                .min(u128::from(u64::MAX)) as u64;
-            tally_response(&mut t, response, us, us_last);
-        }
-        let after = fetch_metrics(&mut client, &retries_made);
-
-        let all: Vec<u64> = t
-            .hit_latencies
-            .iter()
-            .chain(t.miss_latencies.iter())
-            .copied()
-            .collect();
+        let [latency, latency_cache_hit, latency_cache_miss] =
+            summaries(t.hit_latencies, t.miss_latencies);
         windows.push(WindowReport {
             window: w as u64,
             issued: spec.requests as u64,
@@ -1334,9 +1105,9 @@ pub fn run_rolling(
             advance_retained: retained,
             advance_evicted: evicted,
             advance_seeds: seeds,
-            latency: LatencySummary::from_samples(all),
-            latency_cache_hit: LatencySummary::from_samples(t.hit_latencies),
-            latency_cache_miss: LatencySummary::from_samples(t.miss_latencies),
+            latency,
+            latency_cache_hit,
+            latency_cache_miss,
         });
         last_metrics = after;
     }
@@ -1438,7 +1209,12 @@ pub fn render(report: &LoadReport) -> String {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::proto::{BatchQuery, SolveBatchRequest};
     use crate::service::ServiceConfig;
+    use serde::Content;
+    use std::io::Write;
+    use std::net::SocketAddr;
+    use std::sync::mpsc::{self, Receiver};
 
     #[test]
     fn replay_reaches_the_cache() {
@@ -1468,22 +1244,39 @@ mod tests {
     }
 
     #[test]
-    fn spliced_id_matches_the_canonical_encoder() {
+    fn spliced_lines_match_the_canonical_encoders() {
         let spec = LoadSpec {
-            unique: 1,
+            unique: 2,
             n: 24,
+            deadline_ms: Some(250),
+            kernel: Some(krsp::KernelKind::Interval),
             ..LoadSpec::default()
         };
-        let inst = build_pool(&spec).remove(0);
+        let pool = build_pool(&spec);
+        let lines = solve_lines(&pool, &spec).unwrap();
         let req = WireRequest::Solve(SolveRequest {
-            instance: inst,
+            instance: pool[0].clone(),
             deadline_ms: Some(250),
-            kernel: None,
+            kernel: Some(krsp::KernelKind::Interval),
         });
-        let plain = serde_json::to_string(&req).unwrap();
         assert_eq!(
-            line_with_id(&plain, 7),
+            line_with_id(&lines[0], 7),
             proto::encode_request_with_id(7, &req)
+        );
+        let batch = WireRequest::SolveBatch(SolveBatchRequest {
+            queries: [5u64, 2, 9]
+                .iter()
+                .map(|&id| BatchQuery {
+                    id,
+                    instance: pool[id as usize % pool.len()].clone(),
+                    deadline_ms: Some(250),
+                    kernel: Some(krsp::KernelKind::Interval),
+                })
+                .collect(),
+        });
+        assert_eq!(
+            batch_with_ids(&lines, &[5, 2, 9]),
+            serde_json::to_string(&batch).unwrap()
         );
     }
 
@@ -1495,29 +1288,6 @@ mod tests {
         assert_eq!(s.p99_us, 99);
         assert_eq!(s.max_us, 100);
         assert_eq!(s.count, 100);
-    }
-
-    #[test]
-    fn quantile_rank_is_exact_past_f64_mantissa() {
-        // `count as f64` rounds once count exceeds the 53-bit mantissa, so
-        // the old `(q * count as f64).ceil()` rank loses the top sample
-        // even at q = 1.0. The fixed-point rank must not.
-        let count = (1u64 << 53) + 1;
-        assert_eq!(quantile_rank(1.0, count), count);
-        #[allow(clippy::cast_precision_loss, clippy::cast_possible_truncation)]
-        let old = (1.0f64 * count as f64).ceil() as u64;
-        assert!(
-            old < count,
-            "the f64 formula must misround here or this regression is vacuous"
-        );
-        // In the exactly-representable range the two ranks agree.
-        for count in [1u64, 2, 3, 7, 100, 1000] {
-            for q in [0.0, 0.25, 0.5, 0.95, 0.99, 1.0] {
-                #[allow(clippy::cast_precision_loss, clippy::cast_possible_truncation)]
-                let old = ((q * count as f64).ceil() as u64).clamp(1, count);
-                assert_eq!(quantile_rank(q, count), old, "q={q} count={count}");
-            }
-        }
     }
 
     #[test]
@@ -1732,5 +1502,181 @@ mod tests {
         let back: RollingReport = serde_json::from_str(&text).unwrap();
         assert_eq!(back.windows.len(), 3);
         assert!(render_rolling(&report).contains("w2:"));
+    }
+
+    #[test]
+    fn an_oversize_batch_line_is_answered_instead_of_awaited() {
+        use crate::proto::serve_on;
+        use std::net::TcpListener;
+
+        let svc = Service::new(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        });
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        {
+            let svc = svc.clone();
+            std::thread::spawn(move || {
+                let _ = serve_on(&svc, listener);
+            });
+        }
+        // One window of 64 queries at n = 1200 (~200 KB each) leaves as
+        // one `SolveBatch` line past the server's line cap. The server
+        // answers it with one id-less `oversize_line` error and keeps the
+        // connection open, so that error must answer every query of the
+        // line: a client that waits for 64 replies waits forever.
+        let spec = LoadSpec {
+            requests: 64,
+            unique: 1,
+            clients: 1,
+            batch: 64,
+            n: 1200,
+            ..LoadSpec::default()
+        };
+        let lines = solve_lines(&build_pool(&spec), &spec).unwrap();
+        let ids: Vec<u64> = (0..64).collect();
+        assert!(batch_with_ids(&lines, &ids).len() > proto::MAX_LINE_BYTES);
+        let remote = RemoteSpec {
+            addr: addr.to_string(),
+            retries: 2,
+        };
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(run_remote(&spec, &remote));
+        });
+        let report = rx
+            .recv_timeout(Duration::from_secs(120))
+            .expect("the replay is still waiting for replies to an oversize line")
+            .unwrap();
+        assert_eq!(report.issued, 64);
+        assert_eq!(report.wire_errors, 64, "report: {report:?}");
+        assert_eq!(report.completed, 0);
+        assert_eq!(report.transport_retries, 0);
+    }
+
+    /// The `(id, request)` pairs one request line carries: one for a
+    /// plain line, one per query for a `SolveBatch` line.
+    fn queries(line: &str) -> Vec<(u64, WireRequest)> {
+        let decoded = proto::decode_request_line(line);
+        match decoded.request.unwrap() {
+            WireRequest::SolveBatch(batch) => batch
+                .queries
+                .into_iter()
+                .map(|q| {
+                    let solve = SolveRequest {
+                        instance: q.instance,
+                        deadline_ms: q.deadline_ms,
+                        kernel: q.kernel,
+                    };
+                    (q.id, WireRequest::Solve(solve))
+                })
+                .collect(),
+            request => match decoded.id {
+                Some(Content::Int(id)) => vec![(u64::try_from(id).unwrap(), request)],
+                other => panic!("request line without a numeric id: {other:?}"),
+            },
+        }
+    }
+
+    /// What one connection received: per line, whether it was a
+    /// `SolveBatch` line and the ids it carried.
+    type Received = Vec<(bool, Vec<u64>)>;
+
+    /// A stub server for reissue. On its first connection it reads
+    /// `first_lines` request lines, answers the queries listed in
+    /// `answered` through [`proto::dispatch`], and drops the connection.
+    /// It serves every later connection in full, and reports what the
+    /// second one received.
+    fn reissue_stub(
+        svc: Service,
+        first_lines: usize,
+        answered: &'static [u64],
+    ) -> (SocketAddr, Receiver<Received>) {
+        use std::net::TcpListener;
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            for (n, stream) in listener.incoming().enumerate() {
+                let mut stream = stream.unwrap();
+                let mut reader = BufReader::new(stream.try_clone().unwrap());
+                let mut received = Vec::new();
+                let mut line = String::new();
+                while reader.read_line(&mut line).unwrap() > 0 {
+                    let pairs = queries(line.trim());
+                    received.push((
+                        line.contains("\"SolveBatch\""),
+                        pairs.iter().map(|(id, _)| *id).collect::<Vec<_>>(),
+                    ));
+                    line.clear();
+                    for (id, request) in pairs {
+                        if n == 0 && !answered.contains(&id) {
+                            continue;
+                        }
+                        let id = Content::Int(i128::from(id));
+                        let reply = proto::dispatch(&svc, request);
+                        write_line(&mut stream, &proto::encode_response_line(Some(&id), &reply))
+                            .unwrap();
+                    }
+                    if n == 0 && received.len() == first_lines {
+                        break; // drop the connection with the rest unanswered
+                    }
+                }
+                stream.flush().unwrap();
+                if n == 1 {
+                    let _ = tx.send(received);
+                }
+            }
+        });
+        (addr, rx)
+    }
+
+    #[test]
+    fn a_dead_connection_reissues_only_the_unanswered_ids() {
+        // (pipeline, batch, lines in the first window, expected reissue)
+        let shapes: [(usize, usize, usize, Received); 2] = [
+            (4, 1, 4, vec![(false, vec![0]), (false, vec![3])]),
+            (1, 4, 1, vec![(true, vec![0, 3])]),
+        ];
+        for (pipeline, batch, first_lines, expected) in shapes {
+            let svc = Service::new(ServiceConfig {
+                workers: 2,
+                ..ServiceConfig::default()
+            });
+            let (addr, resent) = reissue_stub(svc, first_lines, &[1, 2]);
+            let spec = LoadSpec {
+                requests: 4,
+                unique: 2,
+                clients: 1,
+                pipeline,
+                batch,
+                n: 24,
+                ..LoadSpec::default()
+            };
+            let remote = RemoteSpec {
+                addr: addr.to_string(),
+                retries: 2,
+            };
+            let report = run_remote(&spec, &remote).unwrap();
+            let resent = resent.recv_timeout(Duration::from_secs(30)).unwrap();
+            assert_eq!(
+                resent, expected,
+                "pipeline {pipeline} batch {batch}: the second connection got the wrong lines"
+            );
+            assert_eq!(
+                report.completed
+                    + report.infeasible
+                    + report.rejected_queue_full
+                    + report.rejected_expired
+                    + report.wire_errors,
+                4,
+                "pipeline {pipeline} batch {batch}: {report:?}"
+            );
+            assert_eq!(report.latency.count, report.completed);
+            assert_eq!(report.wire_errors, 0, "report: {report:?}");
+            assert!(report.transport_retries >= 1, "report: {report:?}");
+        }
     }
 }

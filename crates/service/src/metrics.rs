@@ -15,6 +15,23 @@ use std::sync::atomic::{AtomicU64, Ordering};
 const MAJORS: usize = 40;
 const MINORS: usize = 8;
 
+/// Exact 1-based quantile rank: `ceil(q · count)` clamped to
+/// `[1, count]`, computed without going through `f64` multiplication.
+/// `(q * count as f64).ceil()` misrounds once `count` exceeds f64's
+/// 53-bit mantissa (`count as f64` itself rounds, so e.g. `q = 1.0`
+/// could yield a rank below `count` and select the wrong order
+/// statistic); instead take `q` in 2⁻³² fixed point — exact for the
+/// conversion — and compute `ceil(q_fp · count / 2³²)` in u128. The
+/// histogram and `krsp-load`'s exact summaries both rank with it.
+pub(crate) fn quantile_rank(q: f64, count: u64) -> u64 {
+    const FP: u128 = 1 << 32;
+    let q_fp = (q.clamp(0.0, 1.0) * FP as f64).round() as u128;
+    let rank = (q_fp * u128::from(count)).div_ceil(FP);
+    u64::try_from(rank.min(u128::from(count)))
+        .expect("rank is clamped to count")
+        .max(1)
+}
+
 /// A fixed-footprint latency histogram over microsecond samples.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct LatencyHistogram {
@@ -82,17 +99,7 @@ impl LatencyHistogram {
         if self.count == 0 {
             return 0;
         }
-        // Exact integer rank. `(q * count as f64).ceil()` misrounds once
-        // `count` exceeds f64's 53-bit mantissa (`count as f64` itself
-        // rounds, so e.g. q = 1.0 could yield rank < count and return the
-        // wrong bucket); instead take q in 2⁻³² fixed point — exact for
-        // the conversion — and compute ceil(q_fp · count / 2³²) in u128.
-        const FP: u128 = 1 << 32;
-        let q_fp = (q.clamp(0.0, 1.0) * FP as f64).round() as u128;
-        let rank_u128 = (q_fp * u128::from(self.count)).div_ceil(FP);
-        let rank = u64::try_from(rank_u128.min(u128::from(self.count)))
-            .expect("rank is clamped to count")
-            .max(1);
+        let rank = quantile_rank(q, self.count);
         let mut seen = 0u64;
         for (idx, &n) in self.buckets.iter().enumerate() {
             seen += n;
@@ -340,9 +347,30 @@ mod tests {
 
     #[test]
     fn quantile_rank_is_exact_past_f64_mantissa() {
-        // 2⁵⁴ samples in one bucket plus a single sample at the max: with
-        // the old float rank, `count as f64` rounds 2⁵⁴ + 1 down to 2⁵⁴,
-        // so quantile(1.0) landed in the big bucket instead of the max.
+        // `count as f64` rounds once count exceeds the 53-bit mantissa, so
+        // the old `(q * count as f64).ceil()` rank loses the top sample
+        // even at q = 1.0. The fixed-point rank must not.
+        let count = (1u64 << 53) + 1;
+        assert_eq!(quantile_rank(1.0, count), count);
+        #[allow(clippy::cast_precision_loss, clippy::cast_possible_truncation)]
+        let old = (1.0f64 * count as f64).ceil() as u64;
+        assert!(
+            old < count,
+            "the f64 formula must misround here or this regression is vacuous"
+        );
+        // In the exactly-representable range the two ranks agree.
+        for count in [1u64, 2, 3, 7, 100, 1000] {
+            for q in [0.0, 0.25, 0.5, 0.95, 0.99, 1.0] {
+                #[allow(clippy::cast_precision_loss, clippy::cast_possible_truncation)]
+                let old = ((q * count as f64).ceil() as u64).clamp(1, count);
+                assert_eq!(quantile_rank(q, count), old, "q={q} count={count}");
+            }
+        }
+
+        // The histogram ranks with it: 2⁵⁴ samples in one bucket plus a
+        // single sample at the max. With the float rank, `count as f64`
+        // rounds 2⁵⁴ + 1 down to 2⁵⁴, so quantile(1.0) landed in the big
+        // bucket instead of the max.
         let mut h = LatencyHistogram::default();
         let big = 1u64 << 54;
         h.buckets[bucket_index(100)] = big;

@@ -26,7 +26,7 @@ cargo test -q --workspace
 echo "== cargo test --release -- --ignored stress"
 cargo test -q --release --workspace -- --ignored stress
 
-echo "== chaos suite (failpoints + panic isolation + drain)"
+echo "== chaos suite (failpoints + panic isolation + drain + krsp-load smoke in every client shape)"
 cargo test -q --test chaos
 # The same suite must hold with ambient jitter injected from the
 # environment — the env spec is additive on top of each test's own sites.

@@ -23,28 +23,30 @@
 //! (the `--workers` etc. service flags are then ignored). `ADDR` may be a
 //! comma-separated list — clients spread across the targets and rotate to
 //! the next one on each reconnect, so the replay keeps going while any
-//! listed replica answers. Transport errors reconnect and reissue
-//! with jittered exponential backoff, up to `--retries N` attempts per
-//! request (default 5); the report then carries both latency views —
-//! `latency` from each request's first send (spans retries and backoff)
-//! and `latency_last_send` from the answered attempt's send.
-//! `--pipeline N` keeps N requests in flight per
-//! connection using per-request ids (responses are matched out of order;
-//! the report then carries the observed reordering and per-id latencies);
-//! a connection that dies mid-window reissues its outstanding ids.
-//! `--batch N` groups N requests into each `SolveBatch` wire line instead
-//! (one request, N id-matched responses; per-query latency spans from the
+//! listed replica answers. Each client keeps a window of id-carrying
+//! requests on its connection: `--pipeline N` keeps N in flight, one line
+//! each, matched by id in whatever order the replies return (the report
+//! then carries the observed reordering); `--batch N` sends each window of
+//! N as one `SolveBatch` line instead (per-query latency spans from the
 //! batch line's send to that id's response). `--pipeline` and `--batch`
 //! are mutually exclusive — they prescribe conflicting framings for the
-//! same connection. `--kernel` stamps an RSP-kernel override
-//! (DESIGN.md §4.16) on every issued request, both in-process and over
-//! the wire; omitted, the server's configured kernel ladder decides.
+//! same connection. A connection that dies reconnects with jittered
+//! exponential backoff and re-sends only the unanswered requests, up to
+//! `--retries N` attempts in a row (default 5; any reply resets the
+//! count); the report then carries both latency views — `latency` from
+//! each request's first send (spans retries and backoff) and
+//! `latency_last_send` from the answered attempt's send. `--kernel` stamps
+//! an RSP-kernel override (DESIGN.md §4.16) on every issued request, both
+//! in-process and over the wire; omitted, the server's configured kernel
+//! ladder decides.
 //!
 //! `--rolling W` switches to the rolling-update replay (requires
 //! `--connect`): every pool topology is registered as a lineage, then `W`
 //! traffic windows of `--requests` each run back to back, separated by
 //! one epoch advance per lineage that ramps `--ramp-edges` edge costs by
-//! `--ramp-num/--ramp-den` (defaults 1 edge, ×11/10). The client mirrors
+//! `--ramp-num/--ramp-den` (defaults 1 edge, ×11/10). Each window replays
+//! with the same `--clients`, `--pipeline`, `--batch` and `--qps` as a
+//! plain `--connect` replay. The client mirrors
 //! each ramp onto its own instances so every window's requests match the
 //! lineage's current weights and exercise the epoch-scoped cache lane
 //! (retention, warm starts) instead of cold canonical keys. The JSON
@@ -123,9 +125,6 @@ fn main() {
     if spec.batch > 1 && connect.is_none() {
         fail("--batch requires --connect (in-process replays scale with --clients)");
     }
-    if spec.batch > 1 && spec.pipeline > 1 {
-        fail("--batch and --pipeline are mutually exclusive");
-    }
     // A forced deadline only bites if it is also the default for requests
     // the spec leaves bare.
     if let Some(ms) = spec.deadline_ms {
@@ -135,9 +134,6 @@ fn main() {
     if rolling > 0 {
         let addr = connect
             .unwrap_or_else(|| fail("--rolling requires --connect (lineages live server-side)"));
-        if spec.pipeline > 1 || spec.batch > 1 {
-            fail("--rolling replays sequentially; drop --pipeline/--batch");
-        }
         roll.windows = rolling;
         let report = load::run_rolling(&spec, &roll, &RemoteSpec { addr, retries })
             .unwrap_or_else(|e| fail(&format!("rolling replay failed: {e}")));

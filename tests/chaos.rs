@@ -753,6 +753,63 @@ fn sigkill_restart_reheats_from_the_disk_tier() {
     );
 }
 
+/// The `krsp-load` binary end to end against a spawned `krsp-cli serve`,
+/// once per client shape: one at a time, pipelined, batched, and a
+/// pipelined rolling replay. Each run must exit 0 with a report that
+/// accounts for every request, and conflicting framings must exit 2.
+#[test]
+fn krsp_load_replays_every_shape_against_a_served_daemon() {
+    use std::process::{Command, Output, Stdio};
+
+    let addr = TcpListener::bind("127.0.0.1:0")
+        .expect("probe bind")
+        .local_addr()
+        .expect("probe addr")
+        .to_string();
+    let mut server = Command::new(env!("CARGO_BIN_EXE_krsp-cli"))
+        .args(["serve", &addr, "--workers", "2"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn krsp-cli serve");
+    let load = |shape: &[&str]| -> Output {
+        Command::new(env!("CARGO_BIN_EXE_krsp-load"))
+            .args(["--connect", &addr, "--retries", "12", "--requests", "12"])
+            .args(["--unique", "3", "--clients", "2", "--n", "24"])
+            .args(shape)
+            .stderr(Stdio::null())
+            .output()
+            .expect("run krsp-load")
+    };
+    let stdout = |shape: &[&str]| {
+        let out = load(shape);
+        assert!(out.status.success(), "{shape:?} exited {}", out.status);
+        String::from_utf8(out.stdout).expect("utf-8 report")
+    };
+
+    for shape in [&[][..], &["--pipeline", "4"], &["--batch", "4"]] {
+        let r: load::LoadReport = serde_json::from_str(&stdout(shape)).expect("LoadReport JSON");
+        let outcomes =
+            r.completed + r.infeasible + r.rejected_queue_full + r.rejected_expired + r.wire_errors;
+        assert_eq!(
+            (r.issued, outcomes, r.wire_errors),
+            (12, 12, 0),
+            "{shape:?}: {r:?}"
+        );
+    }
+    let rolling: load::RollingReport =
+        serde_json::from_str(&stdout(&["--rolling", "2", "--pipeline", "2"]))
+            .expect("RollingReport JSON");
+    assert_eq!(rolling.windows.len(), 2);
+    for w in &rolling.windows {
+        assert_eq!((w.issued, w.completed, w.wire_errors), (12, 12, 0), "{w:?}");
+    }
+    let conflicting = load(&["--pipeline", "2", "--batch", "2"]);
+    let _ = server.kill();
+    let _ = server.wait();
+    assert_eq!(conflicting.status.code(), Some(2));
+}
+
 /// T14 (EXPERIMENTS.md): topology epochs, warm starts, and the disk
 /// tier, measured end to end. Three halves:
 ///
