@@ -17,6 +17,23 @@
 //! * hence bisection terminates at some successful `Ĉ* ≤ C_OPT`, whose
 //!   solution costs at most `2·Ĉ* ≤ 2·C_OPT` — the `(1, 2)` bifactor —
 //!   at the price of `O(log Σc)` runs of the inner loop.
+//!
+//! ## The floor probe
+//!
+//! A bisection whose probes all succeed ends on the probe at its floor
+//! `Ĉ = ⌈C_LP⌉`, and on most instances they all do. So the driver first
+//! runs that probe on its own, with every cycle search cut to pass 1 of
+//! the layered engine (`bicameral::find_plain_with`, the plain
+//! Bellman–Ford search on the residual graph). The full search runs pass 1
+//! first and returns its cycle whenever it has one, so a floor probe that
+//! ends delay-feasible with cost `≤ 2·Ĉ` is exactly that last probe. It is
+//! returned (or the fallback, when cheaper, as after a bisection), and its
+//! bound `2·⌈C_LP⌉ ≤ 2·C_OPT` holds because `C_OPT` is an integer.
+//! Otherwise — pass 1 stalls, or the cost exceeds `2·Ĉ` — the bisection
+//! runs as before over the same `[⌈C_LP⌉, UB]`, one pass-1 probe later.
+//! The floor probe leaves the layered passes out because where it fails,
+//! the bisection pays for them again. [`Engine::LpRounding`] and
+//! `single_probe` keep the plain driver.
 
 use crate::bicameral::{self, BSearch, BicameralCycle, Ctx, CycleKind, Engine};
 use crate::instance::Instance;
@@ -91,7 +108,7 @@ pub struct RunStats {
     pub lp_bound: f64,
     /// Iterations across all probes, in order.
     pub iterations: Vec<IterationStats>,
-    /// Number of `Ĉ` probes run.
+    /// Number of `Ĉ` probes run, the floor probe included.
     pub probes: usize,
     /// Total wall-clock time.
     pub wall: Duration,
@@ -166,6 +183,10 @@ struct Probe {
 /// `residual` is the solve's one residual graph, left by an earlier probe
 /// at any solution of the instance: it is re-targeted to the phase-1 flow
 /// here, and each cancelled cycle reverses only its own edges.
+///
+/// With `plain_only`, every search is pass 1 of the layered engine alone
+/// (`bicameral::find_plain_with`); the probe then stalls where pass 1
+/// finds nothing, even if the later passes would have found a cycle.
 fn probe(
     inst: &Instance,
     p1: &Phase1,
@@ -173,6 +194,7 @@ fn probe(
     cfg: &Config,
     scratch: &mut bicameral::SearchScratch,
     residual: &mut ResidualGraph,
+    plain_only: bool,
 ) -> Option<Probe> {
     let mut edges = p1.flow.clone();
     residual.retarget(&edges);
@@ -194,8 +216,11 @@ fn probe(
             enforce_cost_cap: cfg.enforce_cost_cap,
             scc_prune: cfg.scc_pruning,
         };
-        let cyc: BicameralCycle =
-            bicameral::find_with(residual, &ctx, cfg.engine, cfg.b_search, scratch)?;
+        let cyc: BicameralCycle = if plain_only {
+            bicameral::find_plain_with(residual, &ctx, scratch)
+        } else {
+            bicameral::find_with(residual, &ctx, cfg.engine, cfg.b_search, scratch)
+        }?;
         debug_assert!(residual.is_valid_cycle_set(&cyc.edges));
         if cfg.enforce_cost_cap && ctx.delta_c > 0 {
             let r = krsp_numeric::Rat::new(ctx.delta_d as i128, ctx.delta_c as i128);
@@ -355,7 +380,24 @@ fn finish(mut solution: Solution, mut stats: RunStats, p1: &Phase1, start: Insta
     Solved { solution, stats }
 }
 
-/// The `Ĉ`-bisected cancellation tail shared by [`solve_with`] and
+/// Finishes a solve on the cheaper of a successful probe and the fallback.
+fn keep_cheaper(
+    pr: Probe,
+    fallback: Solution,
+    mut stats: RunStats,
+    p1: &Phase1,
+    start: Instant,
+) -> Solved {
+    let solution = if fallback.cost < pr.solution.cost {
+        fallback
+    } else {
+        stats.iterations = pr.iterations;
+        pr.solution
+    };
+    finish(solution, stats, p1, start)
+}
+
+/// The `Ĉ`-driven cancellation tail shared by [`solve_with`] and
 /// [`solve_warm_with`]: `fallback` is a delay-feasible solution whose cost
 /// upper-bounds `C_OPT` (the phase-1 extreme on the cold path, possibly a
 /// cheaper re-verified seed on the warm path).
@@ -382,7 +424,7 @@ fn drive(
 
     if cfg.single_probe {
         stats.probes = 1;
-        return match probe(inst, p1, ub.max(1), cfg, scratch, &mut residual) {
+        return match probe(inst, p1, ub.max(1), cfg, scratch, &mut residual, false) {
             Some(pr) => {
                 stats.iterations = pr.iterations;
                 Ok(finish(pr.solution, stats, p1, start))
@@ -392,16 +434,30 @@ fn drive(
         };
     }
 
+    let (mut lo, mut hi) = (lb.max(1), ub.max(1));
+    // Floor probe (see module docs): a bisection whose probes all succeed
+    // ends on the probe at `lo`, so run that probe first, on pass 1 alone.
+    if cfg.engine == Engine::Layered {
+        stats.probes += 1;
+        match probe(inst, p1, lo, cfg, scratch, &mut residual, true) {
+            Some(pr) if pr.solution.cost <= 2 * lo => {
+                return Ok(keep_cheaper(pr, fallback, stats, p1, start));
+            }
+            _ if cancel.is_cancelled() => return Err(SolveError::Cancelled),
+            _ => {}
+        }
+    }
+
     // Bisection on Ĉ (see module docs). `hi` always holds a success.
     let mut best: Option<Probe> = None;
-    let (mut lo, mut hi) = (lb.max(1), ub.max(1));
+    let floor_probes = stats.probes;
     // Establish success at hi = UB: guaranteed since UB ≥ C_OPT.
     loop {
         if cancel.is_cancelled() {
             return Err(SolveError::Cancelled);
         }
         stats.probes += 1;
-        match probe(inst, p1, hi, cfg, scratch, &mut residual) {
+        match probe(inst, p1, hi, cfg, scratch, &mut residual, false) {
             Some(pr) if pr.solution.cost <= 2 * hi => {
                 best = Some(pr);
                 break;
@@ -409,7 +465,7 @@ fn drive(
             _ => {
                 // UB ≥ C_OPT should always succeed; an iteration-limit trip
                 // is the only legitimate reason to land here.
-                if stats.probes > 1 {
+                if stats.probes > floor_probes + 1 {
                     break;
                 }
                 stats.iterations.clear();
@@ -420,24 +476,23 @@ fn drive(
             }
         }
     }
-    if best.is_none() {
+    let Some(mut best) = best else {
         if cancel.is_cancelled() {
             return Err(SolveError::Cancelled);
         }
         // Fall back to the feasible extreme (valid (1, 2−α·…) anyway).
-        stats.wall = start.elapsed();
         return Ok(finish(fallback, stats, p1, start));
-    }
+    };
     while lo < hi {
         if cancel.is_cancelled() {
             return Err(SolveError::Cancelled);
         }
         let mid = lo + (hi - lo) / 2;
         stats.probes += 1;
-        match probe(inst, p1, mid, cfg, scratch, &mut residual) {
+        match probe(inst, p1, mid, cfg, scratch, &mut residual, false) {
             Some(pr) if pr.solution.cost <= 2 * mid => {
                 hi = mid;
-                best = Some(pr);
+                best = pr;
             }
             // A probe the token stopped proved nothing about `mid`. Moving
             // `lo` past it could end the loop and ship `hi` as if `hi − 1`
@@ -446,21 +501,15 @@ fn drive(
             _ => lo = mid + 1,
         }
     }
-    let pr = best.expect("bisection keeps a success");
-    // Keep the cheaper of the probe result and the fallback.
-    let solution = if fallback.cost < pr.solution.cost {
-        fallback
-    } else {
-        stats.iterations = pr.iterations;
-        pr.solution
-    };
-    Ok(finish(solution, stats, p1, start))
+    Ok(keep_cheaper(best, fallback, stats, p1, start))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use krsp_gen::{Family, Regime, Workload};
     use krsp_graph::{DiGraph, NodeId};
+    use proptest::prelude::*;
 
     fn tradeoff(d_bound: i64) -> Instance {
         let g = DiGraph::from_edges(
@@ -617,5 +666,188 @@ mod tests {
                 || !solved.stats.iterations.is_empty()
                 || solved.stats.phase1_delay <= 14
         );
+    }
+
+    /// The driver before the floor probe, kept as the oracle: phase 1, then
+    /// the `Ĉ` bisection alone over `[⌈C_LP⌉, UB]`. Returns the answer, the
+    /// probe count, and whether any probe failed.
+    fn bisection_oracle(
+        inst: &Instance,
+        cfg: &Config,
+    ) -> Result<(Solution, usize, bool), SolveError> {
+        let p1 = phase1::run(inst, cfg.phase1_backend)?;
+        if p1.delay <= inst.delay_bound {
+            return Ok((Solution::from_edge_set(inst, p1.flow).unwrap(), 0, false));
+        }
+        let fallback = Solution::from_edge_set(inst, p1.feasible_flow.clone()).unwrap();
+        let scratch = &mut bicameral::SearchScratch::new();
+        let residual = &mut ResidualGraph::build(&inst.graph, &p1.flow);
+        let lb = p1.lp_bound.ceil().max(0) as i64;
+        let (mut lo, mut hi) = (lb.max(1), fallback.cost.max(1));
+        let (mut probes, mut failed) = (0, false);
+        let mut best = None;
+        // Success at UB, else once more at 2·UB.
+        for _ in 0..2 {
+            probes += 1;
+            match probe(inst, &p1, hi, cfg, scratch, residual, false) {
+                Some(pr) if pr.solution.cost <= 2 * hi => {
+                    best = Some(pr);
+                    break;
+                }
+                _ => {
+                    failed = true;
+                    hi *= 2;
+                }
+            }
+        }
+        let Some(mut best) = best else {
+            return Ok((fallback, probes, failed));
+        };
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            probes += 1;
+            match probe(inst, &p1, mid, cfg, scratch, residual, false) {
+                Some(pr) if pr.solution.cost <= 2 * mid => {
+                    hi = mid;
+                    best = pr;
+                }
+                _ => {
+                    failed = true;
+                    lo = mid + 1;
+                }
+            }
+        }
+        let solution = if fallback.cost < best.solution.cost {
+            fallback
+        } else {
+            best.solution
+        };
+        Ok((solution, probes, failed))
+    }
+
+    /// Whether the floor probe alone concludes: pass 1 finds every cycle
+    /// at `Ĉ = ⌈C_LP⌉` and the result costs at most `2·Ĉ`.
+    fn floor_probe_concludes(inst: &Instance, cfg: &Config) -> bool {
+        let Ok(p1) = phase1::run(inst, cfg.phase1_backend) else {
+            return false;
+        };
+        if p1.delay <= inst.delay_bound {
+            return false;
+        }
+        let lo = p1.lp_bound.ceil().max(1) as i64;
+        let mut residual = ResidualGraph::build(&inst.graph, &p1.flow);
+        let scratch = &mut bicameral::SearchScratch::new();
+        probe(inst, &p1, lo, cfg, scratch, &mut residual, true)
+            .is_some_and(|pr| pr.solution.cost <= 2 * lo)
+    }
+
+    /// Small instances from every generator family and regime, k ≤ 3.
+    fn arb_workload() -> impl Strategy<Value = Option<Instance>> {
+        let families = vec![
+            Family::Gnm,
+            Family::Grid,
+            Family::Layered,
+            Family::Geometric,
+            Family::ScaleFree,
+        ];
+        let regimes = vec![Regime::Uniform, Regime::Correlated, Regime::Anticorrelated];
+        (
+            proptest::sample::select(families),
+            proptest::sample::select(regimes),
+            1usize..4,
+            10usize..40,
+            1u32..=60,
+            0u64..1 << 40,
+        )
+            .prop_map(|(family, regime, k, n, pct, seed)| {
+                let w = Workload {
+                    family,
+                    n,
+                    m: 4 * n,
+                    regime,
+                    k,
+                    tightness: f64::from(pct) / 100.0,
+                    seed,
+                };
+                // The generator links its own build of this crate; rebuild
+                // the instance from its parts.
+                let g = w.instantiate()?;
+                Instance::new(g.graph, g.s, g.t, g.k, g.delay_bound).ok()
+            })
+    }
+
+    /// Which way a solve left its floor probe.
+    #[derive(Debug, PartialEq)]
+    enum Floor {
+        /// Phase 1 answered; no probe ran.
+        Unused,
+        Concluded,
+        FellBack,
+    }
+
+    /// Checks [`solve`] against [`bisection_oracle`] on `inst`: where the
+    /// oracle's bisection had no failed probe, cost, delay and edges are
+    /// identical; elsewhere both answers meet the Full rung's audit bound
+    /// (`cost ≤ 2·C_LP`). A floor probe that concludes is the only probe;
+    /// one that does not adds one probe to the oracle's count and changes
+    /// nothing else.
+    fn check_against_oracle(inst: &Instance) -> Result<Floor, TestCaseError> {
+        let cfg = Config::default();
+        let (got, (want, oracle_probes, failed)) =
+            match (solve(inst, &cfg), bisection_oracle(inst, &cfg)) {
+                (Ok(g), Ok(w)) => (g, w),
+                (g, w) => {
+                    prop_assert_eq!(g.err(), w.err());
+                    return Ok(Floor::Unused);
+                }
+            };
+        let floor = if oracle_probes == 0 {
+            Floor::Unused
+        } else if floor_probe_concludes(inst, &cfg) {
+            Floor::Concluded
+        } else {
+            Floor::FellBack
+        };
+        let probes = match floor {
+            Floor::Unused => 0,
+            Floor::Concluded => 1,
+            Floor::FellBack => oracle_probes + 1,
+        };
+        prop_assert_eq!(got.stats.probes, probes);
+        let got = got.solution;
+        if !failed || floor != Floor::Concluded {
+            prop_assert_eq!((got.cost, got.delay), (want.cost, want.delay));
+            prop_assert_eq!(&got.edges, &want.edges);
+        } else {
+            let lp = got.lower_bound.expect("Full answers carry C_LP");
+            for sol in [&got, &want] {
+                let v = crate::verify::audit(inst, sol, Some((lp, 2)));
+                prop_assert!(v.is_empty(), "audit failed: {:?}", v);
+            }
+        }
+        Ok(floor)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        #[test]
+        fn floor_probe_matches_the_bisection_oracle(inst in arb_workload()) {
+            prop_assume!(inst.is_some());
+            check_against_oracle(&inst.unwrap())?;
+        }
+    }
+
+    /// The generated instances rarely defeat the floor probe; the trade-off
+    /// diamond does at mid budgets, where the oracle's bisection also has
+    /// failed probes.
+    #[test]
+    fn floor_probe_falls_back_to_the_bisection() {
+        let floors: Vec<Floor> = (6..=40)
+            .map(|d| {
+                check_against_oracle(&tradeoff(d)).unwrap_or_else(|e| panic!("D = {d}: {e:?}"))
+            })
+            .collect();
+        assert!(floors.contains(&Floor::Concluded));
+        assert!(floors.contains(&Floor::FellBack));
     }
 }

@@ -31,7 +31,8 @@
 //!   plain Bellman–Ford on `G̃` first (no cost window — accept if the found
 //!   cycle happens to respect the cap), then the combined layered graph
 //!   with doubling `B`, then the per-seed graphs `H_v^±(cap)` as the
-//!   completeness fallback. Each Bellman–Ford run returns the first cycle
+//!   completeness fallback. `find_plain_with` runs pass 1 alone, for
+//!   Algorithm 1's floor probe. Each Bellman–Ford run returns the first cycle
 //!   its predecessor graph closes (`krsp_flow::bellman_ford`), so a search
 //!   that finds a cycle pays for the rounds that took, not for n rounds,
 //!   and *which* negative cycle comes back depends on the relaxation
@@ -225,6 +226,20 @@ pub fn find_with(
     }
 }
 
+/// Pass 1 of [`Engine::Layered`] alone: the plain Bellman–Ford search on
+/// the residual graph, with no cost window. A cycle it returns is the one
+/// [`find_with`] would return under that engine; `None` proves nothing
+/// about the layered passes. Algorithm 1's floor probe runs on it.
+#[must_use]
+pub(crate) fn find_plain_with(
+    residual: &ResidualGraph,
+    ctx: &Ctx,
+    scratch: &mut SearchScratch,
+) -> Option<BicameralCycle> {
+    fail_point!("bicameral.search", |_msg| None);
+    plain(residual, ctx, scratch)
+}
+
 // ---------------------------------------------------------------------------
 // Fast engine
 // ---------------------------------------------------------------------------
@@ -346,17 +361,15 @@ fn search_subgraphs(residual: &ResidualGraph, prune: bool) -> Vec<SubResidual<'_
         .collect()
 }
 
-fn layered(
+/// Pass 1 — plain negative-cycle detection under w (strict), then under
+/// the lexicographic (w, d) to catch w = 0, d < 0 boundary cycles. Both
+/// weights are monomorphized closures (no boxed dispatch per relaxation).
+fn plain(
     residual: &ResidualGraph,
     ctx: &Ctx,
-    b_search: BSearch,
     scratch: &mut SearchScratch,
 ) -> Option<BicameralCycle> {
     let rg = residual.graph();
-
-    // Pass 1 — plain negative-cycle detection under w (strict), then under
-    // the lexicographic (w, d) to catch w = 0, d < 0 boundary cycles. Both
-    // weights are monomorphized closures (no boxed dispatch per relaxation).
     for strict in [true, false] {
         let walk = find_negative_cycle_in(
             rg,
@@ -380,6 +393,19 @@ fn layered(
             }
         }
     }
+    None
+}
+
+fn layered(
+    residual: &ResidualGraph,
+    ctx: &Ctx,
+    b_search: BSearch,
+    scratch: &mut SearchScratch,
+) -> Option<BicameralCycle> {
+    if let Some(cycle) = plain(residual, ctx, scratch) {
+        return Some(cycle);
+    }
+    let rg = residual.graph();
 
     // Passes 2 and 3 run per cyclic SCC of the residual graph (every cycle
     // lives inside one), which shrinks the layered constructions massively.

@@ -19,7 +19,10 @@
 //!
 //! * [`Phase1Backend::Lagrangian`] — discrete Newton (Dinkelbach) on
 //!   `L(λ) = min_f c(f) + λ·(d(f) − D)` with exact integer lexicographic
-//!   weights; no LP tableau, no floats.
+//!   weights; no LP tableau, no floats. One min-cost flow per Newton step:
+//!   at the breakpoint the step's flow is `f₁`, and the bracket's
+//!   delay-infeasible end serves as `f₂` (it has the max-delay optimum's
+//!   cost and delay; see `newton`).
 //! * [`Phase1Backend::Simplex`] — build the LP explicitly and solve it with
 //!   the exact rational simplex; recover `(f₁, f₂)` from the fractional
 //!   cycle of the optimal vertex.
@@ -176,33 +179,57 @@ fn scalarized_flow(inst: &Instance, p: i128, q: i128) -> Option<McfFlow<Lex2>> {
     })
 }
 
-/// Same but maximizing delay among weight-optimal flows (secondary `−d`).
-/// Only called with `p > 0`, where the primary `q·c + p·d` is zero only
-/// when `d = 0` too, so every edge weight stays nonnegative, as
-/// [`min_cost_k_flow`] requires.
-fn scalarized_flow_maxdelay(inst: &Instance, p: i128, q: i128) -> Option<McfFlow<Lex2>> {
-    debug_assert!(p > 0);
-    min_cost_k_flow(&inst.graph, inst.s, inst.t, inst.k, |e: EdgeId| {
-        let r = inst.graph.edge(e);
-        Lex2::new(q * r.cost as i128 + p * r.delay as i128, -(r.delay as i128))
-    })
+/// The outcome of the parametric search.
+enum Newton {
+    /// The min-cost flow with the least delay among them meets `D`.
+    MinCostFeasible(EdgeSet),
+    /// The breakpoint `λ* = p/q` and Lemma 5's two `λ*`-optimal flows:
+    /// `f_lo` with the least delay (`≤ D`), `f_hi` with the most (`> D`).
+    Breakpoint {
+        p: i128,
+        q: i128,
+        f_lo: EdgeSet,
+        f_hi: EdgeSet,
+    },
 }
 
 fn lagrangian(inst: &Instance) -> Result<Phase1, Phase1Error> {
+    Ok(match newton(inst)? {
+        // LP optimum = c(f), integral, α ≤ 1, β = 1.
+        Newton::MinCostFeasible(f) => {
+            let c = f.total_cost(&inst.graph);
+            assemble(inst, f, None, Rat::int(c as i128), Rat::ZERO)
+        }
+        Newton::Breakpoint { p, q, f_lo, f_hi } => {
+            let (c, d) = flow_totals(inst, &f_lo);
+            // LP optimum: L(λ*) = c(f) + λ*(d(f) − D) = (w(f) − p·D) / q.
+            let lp_bound = Rat::new(
+                q * c as i128 + p * d as i128 - p * inst.delay_bound as i128,
+                q,
+            );
+            assemble(inst, f_lo, Some(f_hi), lp_bound, Rat::new(p, q))
+        }
+    })
+}
+
+/// Discrete Newton on `L(λ)` from the bracket (min-cost flow, min-delay
+/// flow) to the breakpoint `λ*`.
+///
+/// The bracket's delay-infeasible end `hi` is always a min-delay optimum
+/// at some `λ' < λ*` (the min-cost flow is one at `λ' = 0`), and it is
+/// optimal at `λ*` too, since the Newton step picks `λ*` where both ends
+/// weigh the same. So `L` is linear on `[λ', λ*]` with slope `d(hi) − D`,
+/// which makes `d(hi)` the largest delay of any `λ*`-optimal flow, and its
+/// cost follows from the shared weight. `hi` therefore serves as `f_hi`
+/// with the max-delay optimum's `(c, d)`; only its edges may differ where
+/// optimal flows tie.
+fn newton(inst: &Instance) -> Result<Newton, Phase1Error> {
     let d_bound = inst.delay_bound;
     // f_c: min cost, then min delay.
     let f_c = scalarized_flow(inst, 0, 1).ok_or(Phase1Error::StructurallyInfeasible)?;
     let (c_c, d_c) = flow_totals(inst, &f_c.edges);
     if d_c <= d_bound {
-        // The min-cost flow is already delay-feasible: LP optimum = c_c,
-        // integral, α ≤ 1, β = 1.
-        return Ok(assemble(
-            inst,
-            f_c.edges,
-            None,
-            Rat::int(c_c as i128),
-            Rat::ZERO,
-        ));
+        return Ok(Newton::MinCostFeasible(f_c.edges));
     }
     // f_d: min delay, then min cost.
     let f_d = min_cost_k_flow(&inst.graph, inst.s, inst.t, inst.k, |e: EdgeId| {
@@ -216,9 +243,9 @@ fn lagrangian(inst: &Instance) -> Result<Phase1, Phase1Error> {
     }
 
     // Invariant: the `hi` point is cheap but delay-infeasible; the `lo`
-    // point is feasible but pricey. (Only the (cost, delay) coordinates are
-    // needed to steer the Newton iteration.)
-    let (mut c_hi, mut d_hi) = (c_c, d_c);
+    // point is feasible but pricey. Only `hi` keeps its edges (see above);
+    // the `lo` end needs its (cost, delay) coordinates alone.
+    let (mut c_hi, mut d_hi, mut f_hi) = (c_c, d_c, f_c.edges);
     let (mut c_lo, mut d_lo) = (c_d, d_d);
 
     let mut guard = 0usize;
@@ -242,21 +269,18 @@ fn lagrangian(inst: &Instance) -> Result<Phase1, Phase1Error> {
         let w_f = w_of(c_f, d_f);
         debug_assert!(w_f <= w_bracket);
         if w_f == w_bracket {
-            // λ* = p/q is the breakpoint. `f` is the min-delay optimum
-            // (d ≤ D); fetch the max-delay optimum for the other extreme.
-            let f2 = scalarized_flow_maxdelay(inst, p, q).expect("feasibility established");
-            let (c_2, d_2) = flow_totals(inst, &f2.edges);
-            debug_assert_eq!(w_of(c_2, d_2), w_bracket);
-            debug_assert!(d_f <= d_bound && d_2 >= d_bound);
-            let lambda = Rat::new(p, q);
-            // LP optimum: L(λ*) = c(f) + λ*(d(f) − D)
-            //           = (w(f) − p·D) / q.
-            let lp_bound = Rat::new(w_f - p * d_bound as i128, q);
-            return Ok(assemble(inst, f.edges, Some(f2.edges), lp_bound, lambda));
+            // λ* = p/q is the breakpoint, `f` its min-delay optimum.
+            debug_assert!(d_f <= d_bound);
+            return Ok(Newton::Breakpoint {
+                p,
+                q,
+                f_lo: f.edges,
+                f_hi,
+            });
         }
         // Strictly better at λ: tighten the bracket on the delay side.
         if d_f > d_bound {
-            (c_hi, d_hi) = (c_f, d_f);
+            (c_hi, d_hi, f_hi) = (c_f, d_f, f.edges);
         } else {
             (c_lo, d_lo) = (c_f, d_f);
         }
@@ -394,6 +418,67 @@ fn simplex(inst: &Instance) -> Result<Phase1, Phase1Error> {
 mod tests {
     use super::*;
     use krsp_graph::{DiGraph, NodeId};
+    use proptest::prelude::*;
+
+    /// The max-delay optimum at `λ = p/q`: minimum `q·c + p·d`, then maximum
+    /// delay (secondary `−d`). With `p > 0` the primary is zero only when
+    /// `d = 0` too, so every weight stays nonnegative, as
+    /// [`min_cost_k_flow`] requires.
+    fn scalarized_flow_maxdelay(inst: &Instance, p: i128, q: i128) -> Option<McfFlow<Lex2>> {
+        assert!(p > 0);
+        min_cost_k_flow(&inst.graph, inst.s, inst.t, inst.k, |e: EdgeId| {
+            let r = inst.graph.edge(e);
+            Lex2::new(q * r.cost as i128 + p * r.delay as i128, -(r.delay as i128))
+        })
+    }
+
+    /// Small instances whose edges may cost nothing or take no time, with a
+    /// budget between the min-delay and the min-cost flow's delay (10% past
+    /// either end), so most need the Newton search and ties are common.
+    fn arb_instance_with_zeros() -> impl Strategy<Value = Instance> {
+        (
+            proptest::collection::vec((0i64..6, 0i64..6), 6..7),
+            proptest::collection::vec((0u32..8, 0u32..8, 0i64..8, 0i64..8), 0..16),
+            -10i64..111,
+            1usize..4,
+        )
+            .prop_map(|(backbone, extra, pct, k)| {
+                // Backbones 0→1→7, 0→2→7 and 0→3→7, with random weights.
+                let ends = [(0, 1), (1, 7), (0, 2), (2, 7), (0, 3), (3, 7)];
+                let mut edges: Vec<_> = ends
+                    .iter()
+                    .zip(&backbone)
+                    .map(|(&(u, v), &(c, dl))| (u, v, c, dl))
+                    .collect();
+                edges.extend(extra.into_iter().filter(|&(u, v, _, _)| u != v));
+                let g = DiGraph::from_edges(8, &edges);
+                let (s, t) = (NodeId(0), NodeId(7));
+                let probe = Instance::new(g.clone(), s, t, k, 0).unwrap();
+                let fastest = crate::baselines::min_delay(&probe).unwrap();
+                let cheapest = crate::baselines::min_sum(&probe).unwrap();
+                let span = cheapest.delay - fastest.delay;
+                let d = (fastest.delay + span * pct / 100).max(0);
+                Instance::new(g, s, t, k, d).unwrap()
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// The bracket's delay-infeasible end, which phase 1 rounds with at
+        /// the breakpoint, has the max-delay optimum's `(c, d)`.
+        #[test]
+        fn breakpoint_hi_end_is_a_max_delay_optimum(inst in arb_instance_with_zeros()) {
+            if let Ok(Newton::Breakpoint { p, q, f_lo, f_hi }) = newton(&inst) {
+                let oracle = scalarized_flow_maxdelay(&inst, p, q).unwrap();
+                prop_assert_eq!(flow_totals(&inst, &f_hi), flow_totals(&inst, &oracle.edges));
+                prop_assert!(f_hi.is_k_flow(&inst.graph, inst.s, inst.t, inst.k));
+                let (c_lo, d_lo) = flow_totals(&inst, &f_lo);
+                prop_assert!(d_lo <= inst.delay_bound);
+                let w = |(c, d): (i64, i64)| q * c as i128 + p * d as i128;
+                prop_assert_eq!(w(flow_totals(&inst, &f_hi)), w((c_lo, d_lo)));
+            }
+        }
+    }
 
     /// k=2 diamond with a cost/delay trade-off: cheap-slow pair and
     /// fast-pricey pair; D forces a mix.

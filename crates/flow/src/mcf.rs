@@ -7,7 +7,10 @@
 //! baselines' `(c, d)` and `(d, c)`. Zero Johnson potentials are therefore
 //! valid for the zero flow, and every augmentation is one Dijkstra over
 //! reduced weights, `O(k·m·log n)` in all. The nonnegativity is asserted
-//! once per call, in `O(m)`.
+//! once per call, in `O(m)`. Each Dijkstra stops once `t` is settled: the
+//! augmenting path is then fixed, and raising every unsettled node's
+//! potential by `dist(t)` (each settled one's by its own distance) keeps
+//! every reduced weight nonnegative for the next round.
 //!
 //! Successively augmenting along shortest paths yields, after the `v`-th
 //! augmentation, a minimum-weight flow of value `v` — the classical SSP
@@ -59,8 +62,9 @@ pub fn min_cost_k_flow<W: Weight>(
     let mut flow = vec![false; m];
     // Johnson potentials: every residual arc a→b keeps a reduced weight
     // w + π[a] − π[b] ≥ 0. With no negative weight, π = 0 holds for the
-    // zero flow. A node the search does not reach keeps its potential: new
-    // reverse arcs join reached nodes only, so it can never be reached again.
+    // zero flow. Each search stops once `t` is settled; a settled node's
+    // potential rises by its distance and every other node's by dist(t),
+    // which no settled distance exceeds and no unsettled one undercuts.
     let mut pot = vec![W::ZERO; n];
     let mut dist: Vec<Option<W>> = vec![None; n];
     // pred[v] = (edge, is_backward)
@@ -72,6 +76,7 @@ pub fn min_cost_k_flow<W: Weight>(
         dist.fill(None);
         pred.fill(None);
         done.fill(false);
+        heap.clear();
         dist[s.index()] = Some(W::ZERO);
         heap.push(Reverse((W::ZERO, s.0)));
         while let Some(Reverse((du, u))) = heap.pop() {
@@ -80,6 +85,9 @@ pub fn min_cost_k_flow<W: Weight>(
                 continue;
             }
             done[u.index()] = true;
+            if u == t {
+                break;
+            }
             let pu = pot[u.index()];
             // Forward residual arcs: unused out-edges.
             for &e in graph.out_edges(u) {
@@ -112,12 +120,13 @@ pub fn min_cost_k_flow<W: Weight>(
                 }
             }
         }
-        dist[t.index()]?;
-        // Update potentials: π[v] += dist[v] for reached nodes.
-        for (p, d) in pot.iter_mut().zip(&dist) {
-            if let Some(d) = *d {
-                *p = p.add_checked(d);
-            }
+        let dt = dist[t.index()]?;
+        for ((p, d), &settled) in pot.iter_mut().zip(&dist).zip(&done) {
+            let raise = match *d {
+                Some(d) if settled => d,
+                _ => dt,
+            };
+            *p = p.add_checked(raise);
         }
         // Augment one unit along the shortest path.
         let mut cur = t;

@@ -150,6 +150,11 @@ impl EpochRegistry {
     /// graph matches a registered lineage *at its current weights* (a
     /// stale or foreign weight assignment falls back to canonical keying).
     pub fn lookup(&self, inst: &Instance) -> Option<EpochScope> {
+        // With no lineage registered (the common case) nothing can match,
+        // so skip the structural hash, which sorts the whole edge list.
+        if lock_recover(&self.inner).is_empty() {
+            return None;
+        }
         let structural = hash::structural_key(&inst.graph);
         let map = lock_recover(&self.inner);
         let state = map.get(&structural)?;

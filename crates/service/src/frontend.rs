@@ -409,6 +409,9 @@ impl Frontend {
         if stream.set_nonblocking(true).is_err() {
             return;
         }
+        // Without it, each reply after a `SolveBatch` window's first waits
+        // out the client's delayed ACK (Nagle).
+        let _ = stream.set_nodelay(true);
         let token = self.next_token;
         self.next_token += 1;
         if self

@@ -28,9 +28,11 @@ use std::time::{Duration, Instant};
 /// A 6-node instance with a real cost/delay tradeoff: a cheap slow route
 /// (2, 20), a fast pricey one (16, 2), and two middling spares. The delay
 /// bound picks the solver path: `d = 24` exercises the full bicameral
-/// cycle search (`bicameral.seed` fires once, `bicameral.search` four
-/// times), while `d = 14` is answered before the cycle search starts and
-/// never reaches either site.
+/// cycle search (`bicameral.seed` fires once, `bicameral.search` five
+/// times: once in the floor probe, which stalls, then four times in the
+/// bisection), `d = 22` concludes on the floor probe alone, and `d = 14`
+/// is answered before the cycle search starts and never reaches either
+/// site.
 fn tradeoff(d_bound: i64) -> Instance {
     let g = DiGraph::from_edges(
         6,
@@ -277,6 +279,43 @@ fn cancelled_last_bisection_probe_is_not_shipped_as_full() {
     }
 }
 
+/// The floor-probe twin of the test above: at `d = 22` the probe at
+/// `Ĉ = ⌈C_LP⌉` concludes on its own, so every search of the solve is
+/// that probe's, and a token that trips during its last one must not ship
+/// the probe's partial flow or fall back to anything else.
+#[test]
+fn cancelled_floor_probe_is_not_shipped_as_full() {
+    let _fp = fp_lock();
+    let inst = tradeoff(22);
+    let cfg = Config::default();
+    krsp_failpoint::cfg("bicameral.search", "delay(0)").expect("arm bicameral.search");
+    let clean = krsp::solve(&inst, &cfg).expect("clean solve");
+    let searches = krsp_failpoint::hits("bicameral.search");
+    assert_eq!(clean.stats.probes, 1, "the floor probe must conclude");
+    assert!(searches >= 1);
+
+    krsp_failpoint::cfg("bicameral.search", "delay(250)").expect("arm bicameral.search");
+    let token = krsp::CancelToken::cancellable();
+    let mut scratch = krsp::SearchScratch::new();
+    scratch.set_cancel(token.clone());
+    let outcome = std::thread::scope(|s| {
+        let solve = s.spawn(|| krsp::solve_with(&inst, &cfg, &mut scratch));
+        while krsp_failpoint::hits("bicameral.search") < 2 * searches {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        token.cancel();
+        solve.join().expect("solve thread never panics")
+    });
+    match outcome {
+        Err(krsp::SolveError::Cancelled) => {}
+        Ok(solved) => panic!(
+            "a cancelled floor probe shipped cost {} after {} probes",
+            solved.solution.cost, solved.stats.probes
+        ),
+        Err(other) => panic!("expected Cancelled, got {other:?}"),
+    }
+}
+
 #[test]
 fn injected_delays_never_change_answers() {
     let _fp = fp_lock();
@@ -427,9 +466,10 @@ fn remote_replay_retries_until_the_server_appears() {
 }
 
 /// T10 (EXPERIMENTS.md): a 120-request wire replay with solver stalls and
-/// a mid-replay shutdown. Every request must resolve — solved, rejected,
-/// or a structured shed/transport error — and the drain must finish inside
-/// its grace period. Writes `results/t10_chaos.json`.
+/// a shutdown once a quarter of the replay has completed. Every request
+/// must resolve — solved, rejected, or a structured shed/transport error —
+/// some must meet the shutdown, and the drain must finish inside its grace
+/// period. Writes `results/t10_chaos.json`.
 #[test]
 #[ignore = "chaos storm: multi-second wall clock; run via scripts/ci.sh"]
 fn t10_chaos_storm_report() {
@@ -448,7 +488,9 @@ fn t10_chaos_storm_report() {
                 shutdown,
                 ServeOptions {
                     grace: Duration::from_secs(10),
-                    poll: Duration::from_millis(10),
+                    // The sweep that notices the flag runs every `poll`; a short
+                    // one lands the drain close to the flip.
+                    poll: Duration::from_millis(1),
                     ..ServeOptions::default()
                 },
             )
@@ -468,15 +510,26 @@ fn t10_chaos_storm_report() {
         addr: addr.to_string(),
         retries: 3,
     };
+    // SIGTERM stand-in: flip the flag once a quarter of the replay has
+    // completed, so the shutdown lands mid-replay however fast the host
+    // runs it (or once the replay has ended, should it never get there).
+    let replay_done = Arc::new(AtomicBool::new(false));
     let trigger = {
-        let shutdown = Arc::clone(&shutdown);
+        let (svc, shutdown, done) = (
+            Arc::clone(&svc),
+            Arc::clone(&shutdown),
+            Arc::clone(&replay_done),
+        );
+        let share = spec.requests as u64 / 4;
         std::thread::spawn(move || {
-            // SIGTERM stand-in: flip the flag mid-replay.
-            std::thread::sleep(Duration::from_millis(500));
+            while svc.metrics().completed < share && !done.load(Ordering::Acquire) {
+                std::thread::sleep(Duration::from_micros(200));
+            }
             shutdown.store(true, Ordering::Release);
         })
     };
     let report = load::run_remote(&spec, &remote).expect("storm replay");
+    replay_done.store(true, Ordering::Release);
     trigger.join().expect("trigger thread");
     let drained = Instant::now();
     server
@@ -498,6 +551,10 @@ fn t10_chaos_storm_report() {
         "unaccounted requests: {report:?}"
     );
     assert!(report.completed > 0, "the storm answered nothing");
+    assert!(
+        report.rejected_queue_full + report.rejected_expired + report.wire_errors > 0,
+        "no request met the shutdown: {report:?}"
+    );
 
     std::fs::create_dir_all("results").expect("mkdir results");
     let doc = format!(
