@@ -34,6 +34,18 @@
 //! The floor probe leaves the layered passes out because where it fails,
 //! the bisection pays for them again. [`Engine::LpRounding`] and
 //! `single_probe` keep the plain driver.
+//!
+//! ## The certified reference
+//!
+//! The `(1, 2)` bound is `cost ≤ 2·Ĉ*` for some `Ĉ* ≤ C_OPT`, not
+//! `cost ≤ 2·C_LP`: where the integrality gap is wide, an optimal answer
+//! can cost more than `2·C_LP`. So every solve records the `Ĉ*` it proves
+//! in [`Solved::certified`]. It is `⌈C_LP⌉` when phase 1 answers, when the
+//! floor probe concludes, or when a warm seed is accepted (`C_OPT` is an
+//! integer), and the bisection's final `Ĉ` otherwise, since every failed
+//! probe below it proves `C_OPT` above that probe's `Ĉ`. A probe stopped
+//! by the iteration guard proves nothing, and neither does `single_probe`;
+//! those solves record `None`, and only `C_LP` bounds them.
 
 use crate::bicameral::{self, BSearch, BicameralCycle, Ctx, CycleKind, Engine};
 use crate::instance::Instance;
@@ -124,6 +136,10 @@ pub struct Solved {
     /// The final solution (delay-feasible; cost ≤ 2·C_OPT under default
     /// configuration).
     pub solution: Solution,
+    /// The `Ĉ* ≤ C_OPT` the solve proves `cost ≤ 2·Ĉ*` against, or `None`
+    /// where it proves no more than `C_LP` does (module docs, "The
+    /// certified reference").
+    pub certified: Option<i64>,
     /// Run statistics.
     pub stats: RunStats,
 }
@@ -175,10 +191,19 @@ struct Probe {
     iterations: Vec<IterationStats>,
 }
 
+/// Why a probe returned no solution.
+enum Stall {
+    /// No bicameral cycle under this `Ĉ`. A probe at `Ĉ ≥ C_OPT` never
+    /// stalls (module docs), so this proves `C_OPT > Ĉ`.
+    NoCycle,
+    /// The iteration guard or the cancel token stopped the loop, which
+    /// proves nothing about `Ĉ`.
+    Stopped,
+}
+
 /// Runs Algorithm 1's cancellation loop with Definition-10 thresholds wired
-/// to the estimate `c_hat`. Returns the resulting (delay-feasible) solution
-/// or `None` if the loop stalled (no bicameral cycle under this `Ĉ`, or the
-/// iteration guard tripped).
+/// to the estimate `c_hat`. Returns the resulting (delay-feasible) solution,
+/// or why the loop stalled.
 ///
 /// `residual` is the solve's one residual graph, left by an earlier probe
 /// at any solution of the instance: it is re-targeted to the phase-1 flow
@@ -195,7 +220,7 @@ fn probe(
     scratch: &mut bicameral::SearchScratch,
     residual: &mut ResidualGraph,
     plain_only: bool,
-) -> Option<Probe> {
+) -> Result<Probe, Stall> {
     let mut edges = p1.flow.clone();
     residual.retarget(&edges);
     let mut cost = p1.cost;
@@ -207,7 +232,7 @@ fn probe(
 
     while delay > inst.delay_bound {
         if iterations.len() >= cfg.max_iterations || scratch.cancel().is_cancelled() {
-            return None;
+            return Err(Stall::Stopped);
         }
         let ctx = Ctx {
             delta_d: inst.delay_bound - delay,
@@ -220,7 +245,8 @@ fn probe(
             bicameral::find_plain_with(residual, &ctx, scratch)
         } else {
             bicameral::find_with(residual, &ctx, cfg.engine, cfg.b_search, scratch)
-        }?;
+        }
+        .ok_or(Stall::NoCycle)?;
         debug_assert!(residual.is_valid_cycle_set(&cyc.edges));
         if cfg.enforce_cost_cap && ctx.delta_c > 0 {
             let r = krsp_numeric::Rat::new(ctx.delta_d as i128, ctx.delta_c as i128);
@@ -247,9 +273,9 @@ fn probe(
             bound_used: cyc.bound_used,
         });
     }
-    let solution = Solution::from_edge_set(inst, edges)?;
+    let solution = Solution::from_edge_set(inst, edges).ok_or(Stall::Stopped)?;
     debug_assert!(solution.delay <= inst.delay_bound);
-    Some(Probe {
+    Ok(Probe {
         solution,
         iterations,
     })
@@ -283,7 +309,7 @@ pub fn solve_with(
     if p1.delay <= inst.delay_bound {
         let solution =
             Solution::from_edge_set(inst, p1.flow.clone()).expect("phase-1 flow is a valid k-flow");
-        return Ok(finish(solution, stats, &p1, start));
+        return Ok(finish(solution, stats, &p1, Some(ceil_lp(&p1)), start));
     }
 
     // Fallback feasible answer: the phase-1 feasible extreme (cost UB).
@@ -301,10 +327,10 @@ pub fn solve_with(
 /// cold solve**, since everything downstream is deterministic. A verified
 /// seed participates two ways:
 ///
-/// * **certificate accept** — when the seed's cost is within the Full rung's
-///   own audit bound (`cost ≤ 2·C_LP`, exact rational compare), it already
-///   carries the `(1, 2)` guarantee for the *new* epoch, so the whole `Ĉ`
-///   bisection is skipped;
+/// * **certificate accept** — when the seed's cost is within
+///   `2·⌈C_LP⌉ ≤ 2·C_OPT` under the new weights, it already carries the
+///   `(1, 2)` guarantee for the *new* epoch, so the whole `Ĉ` bisection is
+///   skipped;
 /// * **bisection resume** — otherwise the seed is still a feasible solution,
 ///   hence `cost ≥ C_OPT`, so it soundly tightens the bisection's upper
 ///   bound and replaces the phase-1 extreme as fallback when cheaper.
@@ -352,13 +378,14 @@ pub fn solve_warm_with(
         stats.warm_start = false;
         let solution =
             Solution::from_edge_set(inst, p1.flow.clone()).expect("phase-1 flow is a valid k-flow");
-        return Ok(finish(solution, stats, &p1, start));
+        return Ok(finish(solution, stats, &p1, Some(ceil_lp(&p1)), start));
     }
 
-    // Certificate accept: the seed meets the Full rung's audit bound under
+    // Certificate accept: the seed is within `2·⌈C_LP⌉ ≤ 2·C_OPT` under
     // the *new* weights, so it is a certified answer as-is.
-    if krsp_numeric::Rat::int(verified.cost as i128) <= krsp_numeric::Rat::int(2) * p1.lp_bound {
-        return Ok(finish(verified, stats, &p1, start));
+    let floor = ceil_lp(&p1);
+    if verified.cost <= 2 * floor {
+        return Ok(finish(verified, stats, &p1, Some(floor), start));
     }
 
     // Bisection resume: the seed is feasible, so seed.cost ≥ C_OPT makes it
@@ -373,11 +400,27 @@ pub fn solve_warm_with(
     drive(inst, &p1, cfg, scratch, fallback, stats, start)
 }
 
-/// Stamps the LP lower bound and wall time onto a finished solve.
-fn finish(mut solution: Solution, mut stats: RunStats, p1: &Phase1, start: Instant) -> Solved {
+/// `⌈C_LP⌉`, a lower bound on the integer `C_OPT`.
+fn ceil_lp(p1: &Phase1) -> i64 {
+    p1.lp_bound.ceil().max(0) as i64
+}
+
+/// Stamps the LP lower bound, the certified `Ĉ*` and the wall time onto a
+/// finished solve.
+fn finish(
+    mut solution: Solution,
+    mut stats: RunStats,
+    p1: &Phase1,
+    certified: Option<i64>,
+    start: Instant,
+) -> Solved {
     solution.lower_bound = Some(p1.lp_bound);
     stats.wall = start.elapsed();
-    Solved { solution, stats }
+    Solved {
+        solution,
+        certified,
+        stats,
+    }
 }
 
 /// Finishes a solve on the cheaper of a successful probe and the fallback.
@@ -386,6 +429,7 @@ fn keep_cheaper(
     fallback: Solution,
     mut stats: RunStats,
     p1: &Phase1,
+    certified: Option<i64>,
     start: Instant,
 ) -> Solved {
     let solution = if fallback.cost < pr.solution.cost {
@@ -394,7 +438,7 @@ fn keep_cheaper(
         stats.iterations = pr.iterations;
         pr.solution
     };
-    finish(solution, stats, p1, start)
+    finish(solution, stats, p1, certified, start)
 }
 
 /// The `Ĉ`-driven cancellation tail shared by [`solve_with`] and
@@ -411,7 +455,7 @@ fn drive(
     start: Instant,
 ) -> Result<Solved, SolveError> {
     let ub = fallback.cost;
-    let lb = p1.lp_bound.ceil().max(0) as i64;
+    let lb = ceil_lp(p1);
 
     // Cancellation contract: a tripped token turns probe stalls into
     // `Err(Cancelled)` instead of shipping the fallback — the fallback's
@@ -425,12 +469,12 @@ fn drive(
     if cfg.single_probe {
         stats.probes = 1;
         return match probe(inst, p1, ub.max(1), cfg, scratch, &mut residual, false) {
-            Some(pr) => {
+            Ok(pr) => {
                 stats.iterations = pr.iterations;
-                Ok(finish(pr.solution, stats, p1, start))
+                Ok(finish(pr.solution, stats, p1, None, start))
             }
-            None if cancel.is_cancelled() => Err(SolveError::Cancelled),
-            None => Ok(finish(fallback, stats, p1, start)),
+            Err(_) if cancel.is_cancelled() => Err(SolveError::Cancelled),
+            Err(_) => Ok(finish(fallback, stats, p1, None, start)),
         };
     }
 
@@ -440,8 +484,8 @@ fn drive(
     if cfg.engine == Engine::Layered {
         stats.probes += 1;
         match probe(inst, p1, lo, cfg, scratch, &mut residual, true) {
-            Some(pr) if pr.solution.cost <= 2 * lo => {
-                return Ok(keep_cheaper(pr, fallback, stats, p1, start));
+            Ok(pr) if pr.solution.cost <= 2 * lo => {
+                return Ok(keep_cheaper(pr, fallback, stats, p1, Some(lb), start));
             }
             _ if cancel.is_cancelled() => return Err(SolveError::Cancelled),
             _ => {}
@@ -451,6 +495,9 @@ fn drive(
     // Bisection on Ĉ (see module docs). `hi` always holds a success.
     let mut best: Option<Probe> = None;
     let floor_probes = stats.probes;
+    // What the probes prove: C_OPT ≥ ⌈C_LP⌉, raised past each failed
+    // bisection probe; `None` once a probe stopped without proving anything.
+    let mut proven = Some(lb);
     // Establish success at hi = UB: guaranteed since UB ≥ C_OPT.
     loop {
         if cancel.is_cancelled() {
@@ -458,13 +505,15 @@ fn drive(
         }
         stats.probes += 1;
         match probe(inst, p1, hi, cfg, scratch, &mut residual, false) {
-            Some(pr) if pr.solution.cost <= 2 * hi => {
+            Ok(pr) if pr.solution.cost <= 2 * hi => {
                 best = Some(pr);
                 break;
             }
             _ => {
                 // UB ≥ C_OPT should always succeed; an iteration-limit trip
-                // is the only legitimate reason to land here.
+                // is the only legitimate reason to land here, and it proves
+                // nothing.
+                proven = None;
                 if stats.probes > floor_probes + 1 {
                     break;
                 }
@@ -481,7 +530,7 @@ fn drive(
             return Err(SolveError::Cancelled);
         }
         // Fall back to the feasible extreme (valid (1, 2−α·…) anyway).
-        return Ok(finish(fallback, stats, p1, start));
+        return Ok(finish(fallback, stats, p1, None, start));
     };
     while lo < hi {
         if cancel.is_cancelled() {
@@ -490,7 +539,7 @@ fn drive(
         let mid = lo + (hi - lo) / 2;
         stats.probes += 1;
         match probe(inst, p1, mid, cfg, scratch, &mut residual, false) {
-            Some(pr) if pr.solution.cost <= 2 * mid => {
+            Ok(pr) if pr.solution.cost <= 2 * mid => {
                 hi = mid;
                 best = pr;
             }
@@ -498,10 +547,17 @@ fn drive(
             // `lo` past it could end the loop and ship `hi` as if `hi − 1`
             // had failed, which its `2·Ĉ` bound needs.
             _ if cancel.is_cancelled() => return Err(SolveError::Cancelled),
-            _ => lo = mid + 1,
+            Err(Stall::Stopped) => {
+                lo = mid + 1;
+                proven = None;
+            }
+            _ => {
+                lo = mid + 1;
+                proven = proven.map(|_| lo);
+            }
         }
     }
-    Ok(keep_cheaper(best, fallback, stats, p1, start))
+    Ok(keep_cheaper(best, fallback, stats, p1, proven, start))
 }
 
 #[cfg(test)]
@@ -690,7 +746,7 @@ mod tests {
         for _ in 0..2 {
             probes += 1;
             match probe(inst, &p1, hi, cfg, scratch, residual, false) {
-                Some(pr) if pr.solution.cost <= 2 * hi => {
+                Ok(pr) if pr.solution.cost <= 2 * hi => {
                     best = Some(pr);
                     break;
                 }
@@ -707,7 +763,7 @@ mod tests {
             let mid = lo + (hi - lo) / 2;
             probes += 1;
             match probe(inst, &p1, mid, cfg, scratch, residual, false) {
-                Some(pr) if pr.solution.cost <= 2 * mid => {
+                Ok(pr) if pr.solution.cost <= 2 * mid => {
                     hi = mid;
                     best = pr;
                 }
@@ -738,7 +794,7 @@ mod tests {
         let mut residual = ResidualGraph::build(&inst.graph, &p1.flow);
         let scratch = &mut bicameral::SearchScratch::new();
         probe(inst, &p1, lo, cfg, scratch, &mut residual, true)
-            .is_some_and(|pr| pr.solution.cost <= 2 * lo)
+            .is_ok_and(|pr| pr.solution.cost <= 2 * lo)
     }
 
     /// Small instances from every generator family and regime, k ≤ 3.

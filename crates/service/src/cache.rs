@@ -247,8 +247,8 @@ impl ShardedCache {
     }
 
     /// The shard index owning `key`. Uses the upper half of the 128-bit
-    /// canonical digest (both halves are independent FNV streams, so any
-    /// fixed slice is uniformly mixed).
+    /// instance digest (each half is a digest lane finished through
+    /// splitmix64, so any fixed slice is uniformly mixed).
     #[must_use]
     pub fn shard_of(&self, key: CacheKey) -> usize {
         ((key.0 >> 64) % self.shards.len() as u128) as usize

@@ -350,6 +350,22 @@ pub fn solve_degraded_seeded(
     cancel: &CancelToken,
     seed: Option<&EdgeSet>,
 ) -> Result<Degraded, LadderError> {
+    ladder(inst, cfg, remaining, policy, kernels, cancel, seed).map(|(answer, _)| answer)
+}
+
+/// [`solve_degraded_seeded`], also returning the `Ĉ* ≤ C_OPT` the answer's
+/// cost factor is certified against when its solve proves one
+/// ([`krsp::Solved::certified`]); the service's debug audit checks it.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn ladder(
+    inst: &Instance,
+    cfg: &Config,
+    remaining: Duration,
+    policy: &LadderPolicy,
+    kernels: &KernelLadder,
+    cancel: &CancelToken,
+    seed: Option<&EdgeSet>,
+) -> Result<(Degraded, Option<i64>), LadderError> {
     let start = policy.admit(inst, remaining);
     // One cycle-search scratch for every solver rung the ladder attempts.
     let mut scratch = SearchScratch::new();
@@ -360,14 +376,15 @@ pub fn solve_degraded_seeded(
         }
         let kernel = kernels.for_rung(rung);
         match attempt(inst, cfg, rung, kernel, &mut scratch, cancel, seed) {
-            Attempt::Solved(solution, warm) => {
-                return Ok(Degraded {
+            Attempt::Solved(solution, warm, certified) => {
+                let answer = Degraded {
                     solution,
                     rung,
                     guarantee: rung.guarantee(),
                     kernel,
                     warm,
-                })
+                };
+                return Ok((answer, certified));
             }
             Attempt::Infeasible => return Err(LadderError::Infeasible),
             Attempt::RungFailed => {}
@@ -377,7 +394,9 @@ pub fn solve_degraded_seeded(
 }
 
 enum Attempt {
-    Solved(Solution, bool),
+    /// The answer, whether a warm seed took part, and the solve's
+    /// certified `Ĉ*`.
+    Solved(Solution, bool, Option<i64>),
     Infeasible,
     RungFailed,
 }
@@ -415,7 +434,7 @@ fn attempt(
             match solved {
                 Some(p) => {
                     match Solution::from_edge_set(inst, EdgeSet::from_edges(inst.m(), &p.edges)) {
-                        Some(sol) => Attempt::Solved(sol, false),
+                        Some(sol) => Attempt::Solved(sol, false, None),
                         None => Attempt::RungFailed,
                     }
                 }
@@ -434,7 +453,7 @@ fn attempt(
                 None => solve_with(inst, &cfg, scratch),
             };
             match solved {
-                Ok(s) => Attempt::Solved(s.solution, s.stats.warm_start),
+                Ok(s) => Attempt::Solved(s.solution, s.stats.warm_start, s.certified),
                 // A cancelled rung proved nothing about feasibility — fall
                 // through so MinDelay can still answer.
                 Err(SolveError::IterationLimit | SolveError::Cancelled) => Attempt::RungFailed,
@@ -442,11 +461,11 @@ fn attempt(
             }
         }
         Rung::LpRounding => match baselines::lp_rounding_only(inst) {
-            Some(sol) => Attempt::Solved(sol, false),
+            Some(sol) => Attempt::Solved(sol, false, None),
             None => Attempt::RungFailed,
         },
         Rung::MinDelay => match baselines::min_delay(inst) {
-            Some(sol) if sol.delay <= inst.delay_bound => Attempt::Solved(sol, false),
+            Some(sol) if sol.delay <= inst.delay_bound => Attempt::Solved(sol, false, None),
             // The min-delay routing is the feasibility certificate: if even
             // it busts the budget (or no k disjoint paths exist), the
             // instance is infeasible outright.
@@ -702,7 +721,7 @@ mod tests {
             krsp_failpoint::remove("csp.dp");
             stale.cancel();
 
-            let Attempt::Solved(again, _) = solve(&inst, &CancelToken::never()) else {
+            let Attempt::Solved(again, ..) = solve(&inst, &CancelToken::never()) else {
                 panic!("{kind}: the request after a panicked solve must answer");
             };
             let fresh = rsp_kernel(kind)

@@ -16,14 +16,14 @@
 //! * [`EpochRegistry::advance`] applies a weight delta, bumps the epoch,
 //!   and sweeps the cache: entries whose solution **avoids every changed
 //!   edge** are *rekeyed* into the new epoch (their cost, delay, and —
-//!   for non-decreasing deltas — their `cost ≤ 2·C_LP` certificate are
-//!   all unchanged, since the LP bound only grows); entries touching a
+//!   for non-decreasing deltas — their `cost ≤ 2·C_OPT` certificate are
+//!   all unchanged, since `C_OPT` only grows); entries touching a
 //!   changed edge are evicted, but their path systems are kept as
 //!   **warm-start seeds** for the next solve of the same query
 //!   (`krsp::solve_warm_with` re-verifies them against the new weights).
 //!
 //! Any decrease in a cost or delay invalidates the retained-entry
-//! argument (the LP bound can drop below half the cached cost), so a
+//! argument (`C_OPT` can drop below half the cached cost), so a
 //! non-monotone delta evicts every tracked entry — all of them still
 //! become seeds.
 //!
@@ -247,9 +247,9 @@ impl EpochRegistry {
             return Err(EpochError::EdgeOutOfRange(bad.edge.0));
         }
 
-        // Retained entries keep their `cost ≤ 2·C_LP` certificate only
-        // when the LP lower bound cannot shrink — i.e. no weight
-        // decreased anywhere. Otherwise everything tracked is evicted
+        // Retained entries keep their `cost ≤ 2·C_OPT` certificate only
+        // when `C_OPT` cannot shrink — i.e. no weight decreased
+        // anywhere. Otherwise everything tracked is evicted
         // (and reseeded).
         let non_decreasing = changes.iter().all(|c| c.is_non_decreasing(&state.graph));
         let mut changed = EdgeSet::with_capacity(m);

@@ -1,156 +1,149 @@
-//! Canonical instance hashing for the solution cache.
+//! Instance digests for the solution cache.
 //!
-//! Two requests should share a cache slot exactly when they describe the
-//! same kRSP problem. Structurally that is the multiset of weighted edges
-//! plus `(n, s, t, k, D)` — it must **not** depend on the order edges were
-//! inserted into the [`DiGraph`], because generators, deserializers, and
-//! callers rebuilding a graph all enumerate edges differently. The key is
-//! therefore computed over the *sorted* edge list.
+//! Two requests share a cache slot exactly when they describe the same kRSP
+//! problem *in the same numbering*: the edge list in request order plus
+//! `(n, s, t, k, D)`. An answer is a set of edge ids, so edge order is part
+//! of an instance's identity — the same edges listed in another order get
+//! their own key (and their own solve) rather than ids that name other
+//! edges.
 //!
-//! The digest is a 128-bit FNV-1a pair (two independent offset bases), so
-//! accidental collisions between distinct instances are out of reach for
-//! any realistic cache population; the cache treats key equality as
-//! instance equality and stores no instance copy.
+//! Every key comes from one streaming digest. It absorbs one 64-bit word
+//! per field into two lanes, each a multiply–rotate chain with its own
+//! constants, and finishes each lane through `splitmix64`. A lane step is
+//! a bijection of the lane for a fixed word and of the word for a fixed
+//! lane, so inputs that differ in one word always differ in both 64-bit
+//! halves; the cache picks its shard from the upper half. Each lane runs
+//! as two interleaved chains (even and odd words), so one word's multiply
+//! need not wait for the previous word's. This is not a cryptographic
+//! hash: the cache treats key equality as instance equality and stores no
+//! instance copy, which is sound against accidental collisions, not
+//! crafted ones.
 
 use krsp::Instance;
 use krsp_graph::DiGraph;
 
-/// A canonical 128-bit digest of a kRSP instance.
+/// A 128-bit digest of a kRSP instance.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CacheKey(pub u128);
 
-struct Fnv2 {
-    a: u64,
-    b: u64,
+/// SplitMix64's finalizer: the digest's lane mixer, and the router's
+/// ring-point and jitter mixer. Pure, so every derived quantity is a
+/// function of its inputs alone.
+pub(crate) fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
 }
 
-impl Fnv2 {
-    const PRIME: u64 = 0x100000001b3;
+/// The one digest routine (module docs). The leading family tag keeps the
+/// key families apart.
+struct Digest {
+    /// Each lane's two chains; word `i` joins the chain word `i − 2` left.
+    a: [u64; 2],
+    b: [u64; 2],
+}
 
-    fn new() -> Self {
-        // Standard FNV-1a offset basis, and the same basis re-hashed once,
-        // giving two independent streams over identical input.
-        Fnv2 {
-            a: 0xcbf29ce484222325,
-            b: 0x84222325cbf29ce4,
+impl Digest {
+    fn new(family: u8) -> Self {
+        Digest {
+            a: [0x243f_6a88_85a3_08d3, 0x1319_8a2e_0370_7344],
+            b: [0xa409_3822_299f_31d0, 0x082e_fa98_ec4e_6c89],
+        }
+        .word(u64::from(family))
+    }
+
+    fn word(self, w: u64) -> Self {
+        let a = (self.a[0] ^ w)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .rotate_left(27);
+        let b = (self.b[0] ^ w)
+            .wrapping_mul(0xd6e8_feb8_6659_fd93)
+            .rotate_left(37);
+        Digest {
+            a: [self.a[1], a],
+            b: [self.b[1], b],
         }
     }
 
-    fn write_u64(&mut self, v: u64) {
-        for byte in v.to_le_bytes() {
-            self.a = (self.a ^ u64::from(byte)).wrapping_mul(Self::PRIME);
-            self.b = (self.b ^ u64::from(byte ^ 0x5a)).wrapping_mul(Self::PRIME);
+    /// `n`, `m`, then each edge's endpoints — and, when `weighted`, its
+    /// cost and delay — in edge-id order.
+    fn graph(mut self, graph: &DiGraph, weighted: bool) -> Self {
+        self = self
+            .word(graph.node_count() as u64)
+            .word(graph.edge_count() as u64);
+        for e in graph.edges() {
+            self = self.word(u64::from(e.src.0)).word(u64::from(e.dst.0));
+            if weighted {
+                self = self.word(e.cost as u64).word(e.delay as u64);
+            }
         }
+        self
     }
 
-    fn write_i64(&mut self, v: i64) {
-        self.write_u64(v as u64);
-    }
-
-    fn finish(&self) -> u128 {
-        (u128::from(self.a) << 64) | u128::from(self.b)
+    fn finish(self) -> u128 {
+        let lane = |[x, y]: [u64; 2]| splitmix64(x ^ y.rotate_left(32));
+        (u128::from(lane(self.a)) << 64) | u128::from(lane(self.b))
     }
 }
 
-/// Canonical cache key: sorted `(src, dst, cost, delay)` edge tuples plus
-/// `(n, s, t, k, D)`. Stable under edge reordering and graph rebuilds;
-/// distinct in every parameter.
+/// Cache key of a whole instance: the weighted edge list in edge-id order
+/// plus `(n, s, t, k, D)`. Distinct in every parameter and in edge order.
 #[must_use]
 pub fn canonical_key(inst: &Instance) -> CacheKey {
-    let mut edges: Vec<(u32, u32, i64, i64)> = inst
-        .graph
-        .edges()
-        .iter()
-        .map(|e| (e.src.0, e.dst.0, e.cost, e.delay))
-        .collect();
-    edges.sort_unstable();
-
-    let mut h = Fnv2::new();
-    h.write_u64(inst.n() as u64);
-    h.write_u64(edges.len() as u64);
-    for (src, dst, cost, delay) in edges {
-        h.write_u64(u64::from(src));
-        h.write_u64(u64::from(dst));
-        h.write_i64(cost);
-        h.write_i64(delay);
-    }
-    h.write_u64(u64::from(inst.s.0));
-    h.write_u64(u64::from(inst.t.0));
-    h.write_u64(inst.k as u64);
-    h.write_i64(inst.delay_bound);
-    CacheKey(h.finish())
+    let d = Digest::new(b'i')
+        .graph(&inst.graph, true)
+        .word(u64::from(inst.s.0))
+        .word(u64::from(inst.t.0))
+        .word(inst.k as u64)
+        .word(inst.delay_bound as u64);
+    CacheKey(d.finish())
 }
 
-/// Weight-free digest of a topology's *structure*: sorted `(src, dst)`
-/// endpoint pairs plus node/edge counts. Stable across weight-only epochs
-/// (which never touch the edge list), so it identifies a topology lineage.
+/// Weight-free digest of a topology's *structure*: the `(src, dst)` edge
+/// list in edge-id order plus node/edge counts. Stable across weight-only
+/// epochs (which never touch the edge list), so it identifies a topology
+/// lineage.
 #[must_use]
 pub fn structural_key(graph: &DiGraph) -> u128 {
-    let mut ends: Vec<(u32, u32)> = graph.edges().iter().map(|e| (e.src.0, e.dst.0)).collect();
-    ends.sort_unstable();
-    let mut h = Fnv2::new();
-    h.write_u64(graph.node_count() as u64);
-    h.write_u64(ends.len() as u64);
-    for (src, dst) in ends {
-        h.write_u64(u64::from(src));
-        h.write_u64(u64::from(dst));
-    }
-    h.finish()
+    Digest::new(b's').graph(graph, false).finish()
 }
 
 /// Digest of the full weighted graph (no query parameters): identifies the
-/// exact weight assignment of one topology epoch. Same canonicalization as
-/// [`canonical_key`] (sorted weighted edge tuples), so rebuilt/reordered
-/// graphs with identical weights digest identically.
+/// exact weight assignment of one topology epoch, in the same edge order as
+/// [`canonical_key`].
 #[must_use]
 pub fn weights_key(graph: &DiGraph) -> u128 {
-    let mut edges: Vec<(u32, u32, i64, i64)> = graph
-        .edges()
-        .iter()
-        .map(|e| (e.src.0, e.dst.0, e.cost, e.delay))
-        .collect();
-    edges.sort_unstable();
-    let mut h = Fnv2::new();
-    h.write_u64(graph.node_count() as u64);
-    h.write_u64(edges.len() as u64);
-    for (src, dst, cost, delay) in edges {
-        h.write_u64(u64::from(src));
-        h.write_u64(u64::from(dst));
-        h.write_i64(cost);
-        h.write_i64(delay);
-    }
-    h.finish()
+    Digest::new(b'w').graph(graph, true).finish()
 }
 
 /// Cache key for a query against an epoch-registered topology: the
 /// topology's [`structural_key`] plus `(s, t, k, D)` — deliberately
 /// **weight-free**, so the key survives weight-only epoch bumps and the
-/// epoch number joins through [`scope_key`] instead. The leading marker
-/// byte keeps this key family disjoint from [`canonical_key`]'s input
-/// domain.
+/// epoch number joins through [`scope_key`] instead. Its family tag keeps
+/// this key family disjoint from [`canonical_key`]'s.
 #[must_use]
 pub fn query_key(topo: u128, s: u32, t: u32, k: usize, delay_bound: i64) -> CacheKey {
-    let mut h = Fnv2::new();
-    h.write_u64(u64::from(b'q'));
-    h.write_u64((topo >> 64) as u64);
-    h.write_u64(topo as u64);
-    h.write_u64(u64::from(s));
-    h.write_u64(u64::from(t));
-    h.write_u64(k as u64);
-    h.write_i64(delay_bound);
-    CacheKey(h.finish())
+    let d = Digest::new(b'q')
+        .word((topo >> 64) as u64)
+        .word(topo as u64)
+        .word(u64::from(s))
+        .word(u64::from(t))
+        .word(k as u64)
+        .word(delay_bound as u64);
+    CacheKey(d.finish())
 }
 
 /// Folds a request's scope — the per-rung kernel assignment tag and the
 /// topology epoch — into its base instance digest.
 ///
 /// The tag is avalanched through a splitmix-style multiply–xorshift mix
-/// before the XOR. A bare `tag × odd-constant` fold (the PR 8 scheme) is
-/// linear: two scopes whose tags XOR to the same value shift every key by
-/// the same amount, so once epoch counters join the kernel bits, nearby
-/// `(kernel, epoch)` pairs could cancel against each other across requests.
-/// The mix breaks that linearity. A zero tag (all-classic ladder, epoch 0)
-/// still folds to zero, so historical keys are unchanged.
+/// before the XOR. A bare `tag × odd-constant` fold is linear: two scopes
+/// whose tags XOR to the same value shift every key by the same amount, so
+/// once epoch counters join the kernel bits, nearby `(kernel, epoch)` pairs
+/// could cancel against each other across requests. The mix breaks that
+/// linearity. A zero tag (all-classic ladder, epoch 0) folds to zero, so
+/// the default scope's key is the base digest itself.
 #[must_use]
 pub fn scope_key(base: CacheKey, kernel_tag: u32, epoch: u64) -> CacheKey {
     let tag = (u128::from(kernel_tag) << 64) | u128::from(epoch);
@@ -186,13 +179,115 @@ mod tests {
         Instance::new(g, NodeId(0), NodeId(3), 2, 20).unwrap()
     }
 
+    /// An answer's edge ids are numbered in its instance's edge order, so
+    /// the same edges in another order must not share a key.
     #[test]
-    fn stable_under_edge_reordering() {
+    fn edge_reordering_changes_the_key() {
         let base = inst_from(&edges());
         let mut reordered = edges();
         reordered.reverse();
         let other = inst_from(&reordered);
-        assert_eq!(canonical_key(&base), canonical_key(&other));
+        assert_ne!(canonical_key(&base), canonical_key(&other));
+        assert_ne!(structural_key(&base.graph), structural_key(&other.graph));
+        assert_ne!(weights_key(&base.graph), weights_key(&other.graph));
+    }
+
+    /// Small generated instances from three families, k = 2.
+    fn generated() -> Vec<Instance> {
+        use krsp_gen::{Family, Regime, Workload};
+        let families = [Family::Gnm, Family::Geometric, Family::Grid];
+        (0..6u64)
+            .filter_map(|seed| {
+                krsp_gen::instantiate_with_retries(
+                    Workload {
+                        family: families[seed as usize % families.len()],
+                        n: 12,
+                        m: 36,
+                        regime: Regime::Uniform,
+                        k: 2,
+                        tightness: 0.5,
+                        seed,
+                    },
+                    8,
+                )
+            })
+            .collect()
+    }
+
+    /// The words [`canonical_key`] absorbs after its family tag.
+    fn canonical_words(inst: &Instance) -> Vec<u64> {
+        let g = &inst.graph;
+        let mut words = vec![g.node_count() as u64, g.edge_count() as u64];
+        for e in g.edges() {
+            words.extend([
+                u64::from(e.src.0),
+                u64::from(e.dst.0),
+                e.cost as u64,
+                e.delay as u64,
+            ]);
+        }
+        words.extend([
+            u64::from(inst.s.0),
+            u64::from(inst.t.0),
+            inst.k as u64,
+            inst.delay_bound as u64,
+        ]);
+        words
+    }
+
+    fn digest_words(words: &[u64]) -> u128 {
+        words
+            .iter()
+            .fold(Digest::new(b'i'), |d, &w| d.word(w))
+            .finish()
+    }
+
+    fn differs_in_both_halves(x: u128, y: u128) -> bool {
+        (x >> 64) != (y >> 64) && (x as u64) != (y as u64)
+    }
+
+    #[test]
+    fn every_bit_flip_and_edge_swap_moves_both_halves() {
+        let instances = generated();
+        assert!(instances.len() >= 4, "generator produced too few instances");
+        for inst in &instances {
+            let key = canonical_key(inst).0;
+            let words = canonical_words(inst);
+            assert_eq!(digest_words(&words), key, "word stream out of step");
+            // Every bit of every edge field and of (n, m, s, t, k, D).
+            for i in 0..words.len() {
+                for bit in 0..64 {
+                    let mut flipped = words.clone();
+                    flipped[i] ^= 1 << bit;
+                    assert!(
+                        differs_in_both_halves(key, digest_words(&flipped)),
+                        "word {i} bit {bit}"
+                    );
+                }
+            }
+            // Every swap of two unequal edges, as a real instance.
+            let list: Vec<(u32, u32, i64, i64)> = inst
+                .graph
+                .edges()
+                .iter()
+                .map(|e| (e.src.0, e.dst.0, e.cost, e.delay))
+                .collect();
+            for i in 0..list.len() {
+                for j in i + 1..list.len() {
+                    if list[i] == list[j] {
+                        continue;
+                    }
+                    let mut swapped = list.clone();
+                    swapped.swap(i, j);
+                    let g = DiGraph::from_edges(inst.n(), &swapped);
+                    let other = Instance::new(g, inst.s, inst.t, inst.k, inst.delay_bound).unwrap();
+                    assert!(
+                        differs_in_both_halves(key, canonical_key(&other).0),
+                        "swap {i} <-> {j}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -294,8 +389,7 @@ mod tests {
                 }
             }
         }
-        // Historical invariant: the all-classic / epoch-0 scope is the
-        // identity fold.
+        // The all-classic / epoch-0 scope is the identity fold.
         assert_eq!(scope_key(base, 0, 0), base);
     }
 }

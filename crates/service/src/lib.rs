@@ -13,8 +13,8 @@
 //! * [`service`] — bounded admission queue with backpressure, worker pool
 //!   on the shared [`krsp::Executor`], per-request deadlines, debug-build
 //!   response auditing.
-//! * [`hash`] — canonical 128-bit instance digests (edge-order
-//!   insensitive) keying the cache.
+//! * [`hash`] — 128-bit instance digests keying the cache; edge order is
+//!   part of the key, since answers are edge ids in the request's order.
 //! * [`cache`] — LRU memoization of full ladder answers, sharded across
 //!   independently-locked segments, with per-shard hit/miss/eviction
 //!   counters.

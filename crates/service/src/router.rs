@@ -49,7 +49,7 @@
 //! the ring view; every other request blocks on replica I/O, so each runs
 //! on a thread of its own, at most [`RouterOptions::max_conns`] at once.
 
-use crate::hash::canonical_key;
+use crate::hash::{canonical_key, splitmix64};
 use crate::metrics::LatencyHistogram;
 use crate::proto::{
     decode_response_line, read_line_capped, wire_error, write_line, EpochReply, ErrorKind,
@@ -100,16 +100,6 @@ fn seed_from(flag: Option<u64>, env: Option<String>) -> u64 {
         }
     }
     DEFAULT_SEED
-}
-
-/// SplitMix64: the ring-point and jitter mixer. Pure, so every derived
-/// quantity (vnode placement, backoff jitter) is a function of its inputs
-/// alone — independent of thread interleaving.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// Folds the 128-bit canonical digest onto the ring's 64-bit point space.

@@ -24,9 +24,7 @@
 //!    `krsp::verify::audit` against the rung's advertised guarantee.
 
 use crate::cache::ShardedCache;
-use crate::degrade::{
-    solve_degraded_seeded, Degraded, Guarantee, KernelLadder, LadderError, LadderPolicy, Rung,
-};
+use crate::degrade::{ladder, Degraded, Guarantee, KernelLadder, LadderError, LadderPolicy, Rung};
 use crate::disk::DiskCache;
 use crate::epoch::{EpochError, EpochRegistry, EpochReport, EpochScope};
 use crate::hash::{canonical_key, scope_key, CacheKey};
@@ -197,7 +195,7 @@ pub(crate) enum SolveFailure {
 }
 
 #[cfg(test)]
-type SolveGate = Box<dyn Fn(&Shared) + Send + Sync>;
+type SolveGate = Arc<dyn Fn(&Shared) + Send + Sync>;
 
 struct Shared {
     cfg: ServiceConfig,
@@ -741,8 +739,8 @@ impl Service {
 
     /// Installs a hook that runs inside every solver job before solving.
     #[cfg(test)]
-    fn set_solve_gate(&self, gate: SolveGate) {
-        *lock_recover(&self.shared.solve_gate) = Some(gate);
+    fn set_solve_gate(&self, gate: Box<dyn Fn(&Shared) + Send + Sync>) {
+        *lock_recover(&self.shared.solve_gate) = Some(gate.into());
     }
 }
 
@@ -760,12 +758,17 @@ fn solve_job(
     seed: Option<&EdgeSet>,
 ) -> Result<Degraded, SolveFailure> {
     let caught = catch_unwind(AssertUnwindSafe(|| {
+        // The gate runs outside its lock, so a held gate does not block
+        // other solves from reaching theirs.
         #[cfg(test)]
-        if let Some(gate) = lock_recover(&shared.solve_gate).as_ref() {
-            gate(shared);
+        {
+            let gate = lock_recover(&shared.solve_gate).clone();
+            if let Some(gate) = gate {
+                gate(shared);
+            }
         }
         krsp_failpoint::fail_point!("service.solve");
-        let out = solve_degraded_seeded(
+        let out = ladder(
             instance,
             &shared.cfg.solver,
             remaining,
@@ -775,13 +778,13 @@ fn solve_job(
             seed,
         );
         #[cfg(debug_assertions)]
-        if let Ok(degraded) = &out {
-            audit_response(instance, degraded);
+        if let Ok((degraded, certified)) = &out {
+            audit_response(instance, degraded, *certified);
         }
         out
     }));
     match caught {
-        Ok(Ok(degraded)) => Ok(degraded),
+        Ok(Ok((degraded, _))) => Ok(degraded),
         Ok(Err(LadderError::Infeasible)) => Err(SolveFailure::Infeasible),
         Err(payload) => Err(SolveFailure::Panicked(panic_message(payload.as_ref()))),
     }
@@ -882,10 +885,13 @@ fn finish_metrics(
 
 /// Debug-build audit: every fresh answer is re-verified from first
 /// principles against the rung's advertised guarantee (delay within
-/// `delay_factor · D`; cost within `cost_factor ×` the LP lower bound when
-/// the rung certifies one).
+/// `delay_factor · D`; cost within `cost_factor ×` the reference the rung
+/// certifies, when it certifies one). That reference is the solve's
+/// certified `Ĉ* ≤ C_OPT` where it proves one — Algorithm 1's bound, which
+/// an optimal answer can put above `2·C_LP` — and the LP lower bound
+/// otherwise.
 #[cfg(debug_assertions)]
-fn audit_response(instance: &Instance, degraded: &crate::degrade::Degraded) {
+fn audit_response(instance: &Instance, degraded: &Degraded, certified: Option<i64>) {
     let mut relaxed = instance.clone();
     relaxed.delay_bound = instance
         .delay_bound
@@ -893,7 +899,7 @@ fn audit_response(instance: &Instance, degraded: &crate::degrade::Degraded) {
     let reference = degraded
         .guarantee
         .cost_factor
-        .zip(degraded.solution.lower_bound)
+        .zip(certified.map(Into::into).or(degraded.solution.lower_bound))
         .map(|(factor, lb)| (lb, factor));
     let violations = krsp::verify::audit(&relaxed, &degraded.solution, reference);
     assert!(
@@ -933,6 +939,104 @@ mod tests {
             deadline: None,
             kernel: None,
         }
+    }
+
+    /// `tradeoff(d)` with its edge list rotated by two: the same problem,
+    /// numbered differently.
+    fn rotated(d: i64) -> Instance {
+        let mut list: Vec<(u32, u32, i64, i64)> = tradeoff(d)
+            .graph
+            .edges()
+            .iter()
+            .map(|e| (e.src.0, e.dst.0, e.cost, e.delay))
+            .collect();
+        list.rotate_left(2);
+        Instance::new(DiGraph::from_edges(6, &list), NodeId(0), NodeId(5), 2, d).unwrap()
+    }
+
+    /// Provisions `rotated(14)` and checks that it was solved fresh and
+    /// that its edge ids are valid in its own numbering.
+    fn provision_rotated(svc: &Service) {
+        let out = svc
+            .provision(Request {
+                instance: rotated(14),
+                deadline: None,
+                kernel: None,
+            })
+            .unwrap();
+        let violations = krsp::verify::audit(&rotated(14), &out.solution, None);
+        assert!(
+            violations.is_empty(),
+            "ids read in the request's own numbering: {violations:?}"
+        );
+        assert!(!out.cache_hit && !out.coalesced, "solved fresh: {out:?}");
+    }
+
+    #[test]
+    fn permuted_repeat_misses_the_cache() {
+        let svc = Service::new(ServiceConfig::default());
+        svc.provision(req(14)).unwrap();
+        provision_rotated(&svc);
+    }
+
+    #[test]
+    fn permuted_repeat_misses_a_registered_lineage() {
+        let svc = Service::new(ServiceConfig::default());
+        svc.register_topology(&tradeoff(14).graph);
+        svc.provision(req(14)).unwrap();
+        provision_rotated(&svc);
+    }
+
+    #[test]
+    fn permuted_repeat_misses_the_disk_tier_after_a_restart() {
+        let _fp = crate::sync_util::fp_lock();
+        let dir = std::env::temp_dir().join(format!("krsp-svc-permuted-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = ServiceConfig {
+            cache_dir: Some(dir.clone()),
+            ..ServiceConfig::default()
+        };
+        Service::new(cfg.clone()).provision(req(14)).unwrap();
+        let restarted = Service::new(cfg);
+        let out = std::panic::catch_unwind(AssertUnwindSafe(|| provision_rotated(&restarted)));
+        let _ = std::fs::remove_dir_all(&dir);
+        out.unwrap();
+    }
+
+    #[test]
+    fn permuted_repeat_is_not_coalesced_onto_the_original_flight() {
+        let svc = Service::new(ServiceConfig {
+            workers: 2,
+            ..ServiceConfig::default()
+        });
+        let key = canonical_key(&tradeoff(14));
+        let held = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let release = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        {
+            let (held, release) = (Arc::clone(&held), Arc::clone(&release));
+            // The first solve (the original's) holds its flight open until
+            // released, or until a request joins it as a follower.
+            svc.set_solve_gate(Box::new(move |shared| {
+                if !held.swap(true, Ordering::SeqCst) {
+                    while !release.load(Ordering::Acquire) && shared.flights.waiters(key) == 0 {
+                        std::thread::yield_now();
+                    }
+                }
+            }));
+        }
+        std::thread::scope(|s| {
+            let original = {
+                let svc = svc.clone();
+                s.spawn(move || svc.provision(req(14)))
+            };
+            while !held.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            let permuted = std::panic::catch_unwind(AssertUnwindSafe(|| provision_rotated(&svc)));
+            release.store(true, Ordering::Release);
+            assert!(!original.join().unwrap().unwrap().coalesced);
+            permuted.unwrap();
+        });
     }
 
     #[test]

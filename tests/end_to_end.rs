@@ -153,3 +153,140 @@ fn figure1_cost_cap_matters() {
         opt.cost
     );
 }
+
+/// A k = 2 instance where the optimum costs 1 but `C_LP = 2/5`: the paths
+/// 0→1→2→7 (cost 1, delay 5), 0→3→4→7 (cost 0, delay 10) and the direct
+/// edge 0→7 (free), with D = 8.
+fn integrality_gap_witness() -> Instance {
+    let g = DiGraph::from_edges(
+        8,
+        &[
+            (0, 1, 1, 2),
+            (1, 2, 0, 2),
+            (2, 7, 0, 1),
+            (0, 3, 0, 5),
+            (3, 4, 0, 5),
+            (4, 7, 0, 0),
+            (0, 7, 0, 0),
+        ],
+    );
+    Instance::new(g, NodeId(0), NodeId(7), 2, 8).unwrap()
+}
+
+/// Seeded 8-node k = 2 instances with zero costs allowed, so that the
+/// integrality gap shows: two 3-edge s–t backbones plus up to 13 random
+/// edges, costs 0–2, delays 0–5, D < 20.
+fn small_gap_instance(seed: u64) -> Instance {
+    let mut state = seed;
+    let mut below = |n: u64| {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (z ^ (z >> 31)) % n
+    };
+    let mut inner: Vec<u32> = (1..7).collect();
+    for i in (1..inner.len()).rev() {
+        inner.swap(i, below(i as u64 + 1) as usize);
+    }
+    let mut edges = Vec::new();
+    for leg in inner[..4].chunks(2) {
+        for (u, v) in [(0, leg[0]), (leg[0], leg[1]), (leg[1], 7)] {
+            edges.push((u, v, below(3) as i64, below(6) as i64));
+        }
+    }
+    for _ in 0..below(14) {
+        let (u, v) = (below(8) as u32, below(8) as u32);
+        if u != v {
+            edges.push((u, v, below(3) as i64, below(6) as i64));
+        }
+    }
+    let g = DiGraph::from_edges(8, &edges);
+    Instance::new(g, NodeId(0), NodeId(7), 2, below(20) as i64).unwrap()
+}
+
+/// Every rung's advertised factor holds against the exact `C_OPT`, and the
+/// `Ĉ*` each Full solve certifies lies at or below `C_OPT` with the answer
+/// within twice it. Where the integrality gap is wide an optimal Full
+/// answer costs more than `2·C_LP`, so the service's debug-build audit must
+/// check it against `Ĉ*`: auditing against `C_LP` turns such answers into
+/// solver panics and quarantine strikes.
+#[test]
+fn every_rung_factor_holds_against_c_opt() {
+    use krsp_service::{Request, Rung, Service, ServiceConfig};
+    let svc = Service::new(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    });
+    let witness = integrality_gap_witness();
+    let full = solve(&witness, &Config::default()).unwrap();
+    let lp = full.solution.lower_bound.expect("Full answers carry C_LP");
+    assert_eq!((lp.num(), lp.den()), (2, 5));
+    assert_eq!((full.solution.cost, full.certified), (1, Some(1)));
+
+    let (mut solved, mut above_twice_lp) = (0, 0);
+    for (seed, inst) in std::iter::once((None, witness))
+        .chain((0..20_000).map(|seed| (Some(seed), small_gap_instance(seed))))
+    {
+        let Some(opt) = exact::brute_force(&inst).map(|e| e.cost) else {
+            continue;
+        };
+        solved += 1;
+        let check = |rung: Rung, sol: &krsp::Solution| {
+            let g = rung.guarantee();
+            let mut relaxed = inst.clone();
+            relaxed.delay_bound *= i64::from(g.delay_factor);
+            let reference = g.cost_factor.map(|f| (opt.into(), f));
+            let violations = krsp::audit(&relaxed, sol, reference);
+            assert!(
+                violations.is_empty(),
+                "{rung} on seed {seed:?}: {violations:?}"
+            );
+        };
+
+        let full = solve(&inst, &Config::default()).unwrap();
+        check(Rung::Full, &full.solution);
+        let c = full
+            .certified
+            .expect("no probe stops on the iteration guard");
+        assert!(
+            c <= opt,
+            "seed {seed:?}: certified Ĉ* = {c} > C_OPT = {opt}"
+        );
+        assert!(
+            full.solution.cost <= 2 * c,
+            "seed {seed:?}: cost above 2·Ĉ*"
+        );
+        let lp = full.solution.lower_bound.expect("Full answers carry C_LP");
+        if !krsp::audit(&inst, &full.solution, Some((lp, 2))).is_empty() {
+            above_twice_lp += 1;
+        }
+
+        let served = svc
+            .provision(Request {
+                instance: inst.clone(),
+                deadline: None,
+                kernel: None,
+            })
+            .unwrap_or_else(|e| panic!("seed {seed:?}: {e}"));
+        assert_eq!(served.rung, Rung::Full, "seed {seed:?}");
+        assert_eq!(served.solution.cost, full.solution.cost, "seed {seed:?}");
+
+        let probe = Config {
+            single_probe: true,
+            ..Config::default()
+        };
+        check(Rung::SingleProbe, &solve(&inst, &probe).unwrap().solution);
+        let rounded = baselines::lp_rounding_only(&inst).expect("feasible");
+        check(Rung::LpRounding, &rounded);
+        let mut relaxed = inst.clone();
+        relaxed.delay_bound *= 2;
+        assert!(krsp::audit(&relaxed, &rounded, Some((lp, 2))).is_empty());
+        check(
+            Rung::MinDelay,
+            &baselines::min_delay(&inst).expect("feasible"),
+        );
+    }
+    assert!(solved >= 5_000, "too few feasible instances ({solved})");
+    assert!(above_twice_lp > 0, "no Full answer above 2·C_LP exercised");
+}

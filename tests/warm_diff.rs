@@ -9,9 +9,9 @@
 //!
 //! * same feasibility verdict as the cold ladder on the new epoch,
 //! * `delay ≤ D` under the new weights,
-//! * `cost ≤ 2·cost_cold` (sound because `cost_warm ≤ 2·C_LP ≤ 2·OPT ≤
-//!   2·cost_cold` — the warm path only accepts a seed that passes the
-//!   Full rung's own audit bound, in exact arithmetic),
+//! * `cost ≤ 2·cost_cold` (sound because `cost_warm ≤ 2·⌈C_LP⌉ ≤ 2·OPT ≤
+//!   2·cost_cold` — the warm path only accepts a seed within twice the
+//!   bound a concluding floor probe certifies),
 //! * the same advertised guarantee whenever both land on the same rung.
 //!
 //! Bit-identity is asserted exactly where it is owed: when the seed did
