@@ -8,13 +8,13 @@
 //!
 //! Measures the flat budgeted-DP kernel (`krsp_flow::csp`) against the
 //! preserved pre-rewrite implementation (`krsp_flow::reference`) on the
-//! same instances, plus the early-exit Bellman–Ford against the textbook
-//! n-round run kept there, the Dijkstra min-cost flow against the
-//! Bellman–Ford-per-augmentation one, and the end-to-end solver on the T2/T4
-//! generator families. The batch plane gets its own row families
-//! (EXPERIMENTS.md T12): `csp_batch` answers a fixed query set against a
-//! shared [`TopoDigest`] at batch sizes 1/8/64 vs the per-query rebuild,
-//! and `solve_batch` runs the same end-to-end query set through
+//! same instances, pass 1's Bellman–Ford cycle search and the min-cost flow
+//! on packed `i64` keys against their `Lex2` runs, the Dijkstra min-cost
+//! flow against the Bellman–Ford-per-augmentation one, and the end-to-end
+//! solver on the T2/T4 generator families. The batch plane gets its own
+//! row families (EXPERIMENTS.md T12): `csp_batch` answers a fixed query set
+//! against a shared [`TopoDigest`] at batch sizes 1/8/64 vs the per-query
+//! rebuild, and `solve_batch` runs the same end-to-end query set through
 //! [`krsp::solve_batch`] windows of 1/8/64 vs unbatched `solve` calls —
 //! the amortization curve is `per_iter_ms` falling as the batch size
 //! grows. The `rsp_kernel` family (EXPERIMENTS.md T13) races the pluggable
@@ -24,8 +24,13 @@
 //! against the exact DP (`cost ≤ (1+ε)·OPT`, `delay ≤ D`).
 //! Everything is pinned — fixed seeds, fixed workload grid, fixed
 //! iteration counts — so two runs on the same machine measure the same
-//! work and the JSON can be compared commit to commit. The report records
-//! the host (`nproc`, os, arch) so committed numbers carry their context.
+//! work and the JSON can be compared commit to commit. Every row runs
+//! [`TRIALS`] timed trials and reports the median per-iteration time with
+//! its interquartile range; an A/B pair alternates its two variants' trials,
+//! so drift in the host's speed lands on both, and its speedup is the ratio
+//! of the medians. The report records the host (`nproc`, os, arch) so
+//! committed numbers carry their context, and emits no threads-axis row
+//! wider than `nproc`.
 //!
 //! The A/B pairs also cross-check their checksums: a variant that got
 //! faster by computing something else fails the run. The batch families
@@ -36,8 +41,8 @@ use krsp::{baselines, solve, solve_batch, Config, Instance};
 use krsp_bench::standard_workload;
 use krsp_flow::{
     constrained_shortest_path_with, constrained_shortest_paths_digested, find_negative_cycle_in,
-    kernel, min_cost_k_flow, reference, rsp_fptas_with, BfScratch, CspQuery, DpScratch, McfFlow,
-    TopoDigest, KERNEL_KINDS,
+    flow_terms, kernel, min_cost_k_flow, min_cost_k_flow_lex, pack_lex_keys, reference,
+    rsp_fptas_with, walk_terms, BfScratch, CspQuery, DpScratch, McfFlow, TopoDigest, KERNEL_KINDS,
 };
 use krsp_gen::{Family, Regime};
 use krsp_graph::{EdgeId, NodeId, ResidualGraph};
@@ -46,19 +51,27 @@ use serde::Serialize;
 use std::hint::black_box;
 use std::time::Instant;
 
-/// One timed measurement.
+/// Timed trials per row in a full run.
+const TRIALS: usize = 5;
+
+/// One row: a variant's trials on one (bench, config).
 #[derive(Serialize)]
 struct Measurement {
     /// Kernel under test.
     bench: String,
     /// Instance/configuration label.
     config: String,
-    /// `flat` (current), `reference` (pre-rewrite), or `current` where no
-    /// reference implementation exists.
+    /// `flat` (current) vs `reference` (pre-rewrite), `packed` vs `lex2`,
+    /// or a point on a kernel, threads or batch axis.
     variant: String,
+    /// Iterations per trial.
     iters: u64,
-    total_ms: f64,
+    /// Timed trials.
+    trials: usize,
+    /// Median per-iteration time over the trials.
     per_iter_ms: f64,
+    /// Interquartile range of the per-iteration times over the trials.
+    iqr_ms: f64,
     /// Work fingerprint; equal across variants of the same (bench, config).
     checksum: i64,
 }
@@ -89,75 +102,140 @@ struct Report {
     schema: String,
     mode: String,
     host: Host,
-    /// `null` on multi-core recorders. On a single-core host the
-    /// threads-axis and batch-axis rows cannot show parallel gains, so the
-    /// report says so instead of committing silently misleading numbers.
+    /// `null` on multi-core recorders. On a single-core host the threads
+    /// axis stops at `threads1` and the batch-axis rows cannot show
+    /// parallel gains, so the report says so.
     caveat: Option<String>,
     results: Vec<Measurement>,
     speedups: Vec<Speedup>,
 }
 
-/// reference / flat per-iteration ratio for one A/B pair.
+/// `ratio = "base/cand"`: base's median per-iteration time over cand's.
 #[derive(Serialize)]
 struct Speedup {
     bench: String,
     config: String,
+    ratio: String,
     speedup: f64,
 }
 
-fn time_ms(iters: u64, mut f: impl FnMut() -> i64) -> (f64, i64) {
+/// Runs `f` `iters` times; returns the per-iteration milliseconds and the
+/// last checksum.
+fn time_per_iter(iters: u64, mut f: impl FnMut() -> i64) -> (f64, i64) {
     let mut checksum = 0i64;
     let start = Instant::now();
     for _ in 0..iters {
         checksum = black_box(f());
     }
-    (start.elapsed().as_secs_f64() * 1e3, checksum)
+    (start.elapsed().as_secs_f64() * 1e3 / iters as f64, checksum)
+}
+
+/// Linear-interpolation quantile `q` of an ascending, nonempty slice.
+fn quantile(sorted: &[f64], q: f64) -> f64 {
+    let at = (sorted.len() - 1) as f64 * q;
+    let (lo, hi) = (at.floor() as usize, at.ceil() as usize);
+    sorted[lo] + (sorted[hi] - sorted[lo]) * (at - lo as f64)
 }
 
 struct Harness {
     results: Vec<Measurement>,
+    speedups: Vec<Speedup>,
     smoke: bool,
 }
 
 impl Harness {
+    fn trials(&self) -> usize {
+        if self.smoke {
+            1
+        } else {
+            TRIALS
+        }
+    }
+
+    fn iters(&self, iters: u64) -> u64 {
+        if self.smoke {
+            2
+        } else {
+            iters
+        }
+    }
+
+    /// Records one row from its trials; every trial must fingerprint the
+    /// same work.
+    fn push(&mut self, bench: &str, config: &str, variant: &str, iters: u64, runs: &[(f64, i64)]) {
+        let checksum = runs[0].1;
+        assert!(
+            runs.iter().all(|&(_, c)| c == checksum),
+            "{bench}/{config}/{variant}: trials disagree"
+        );
+        let mut times: Vec<f64> = runs.iter().map(|&(t, _)| t).collect();
+        times.sort_by(f64::total_cmp);
+        self.results.push(Measurement {
+            bench: bench.to_string(),
+            config: config.to_string(),
+            variant: variant.to_string(),
+            iters,
+            trials: runs.len(),
+            per_iter_ms: quantile(&times, 0.5),
+            iqr_ms: quantile(&times, 0.75) - quantile(&times, 0.25),
+            checksum,
+        });
+    }
+
+    /// One variant's row: its trials back to back.
     fn record(
         &mut self,
         bench: &str,
         config: &str,
         variant: &str,
         iters: u64,
-        f: impl FnMut() -> i64,
+        mut f: impl FnMut() -> i64,
     ) {
-        let iters = if self.smoke { 2 } else { iters };
-        let (total_ms, checksum) = time_ms(iters, f);
-        self.results.push(Measurement {
-            bench: bench.to_string(),
-            config: config.to_string(),
-            variant: variant.to_string(),
-            iters,
-            total_ms,
-            per_iter_ms: total_ms / iters as f64,
-            checksum,
-        });
+        let iters = self.iters(iters);
+        let runs: Vec<_> = (0..self.trials())
+            .map(|_| time_per_iter(iters, &mut f))
+            .collect();
+        self.push(bench, config, variant, iters, &runs);
     }
 
-    /// A/B pair: runs both variants and asserts their checksums agree.
+    /// A/B pair: alternates the two variants' trials, asserts that their
+    /// checksums agree, and records the speedup `b/a`.
     fn ab(
         &mut self,
         bench: &str,
         config: &str,
         iters: u64,
-        flat: impl FnMut() -> i64,
-        reference: impl FnMut() -> i64,
+        (a, mut fa): (&str, impl FnMut() -> i64),
+        (b, mut fb): (&str, impl FnMut() -> i64),
     ) {
-        self.record(bench, config, "flat", iters, flat);
-        self.record(bench, config, "reference", iters, reference);
-        let k = self.results.len();
-        let (a, b) = (&self.results[k - 2], &self.results[k - 1]);
-        assert_eq!(
-            a.checksum, b.checksum,
-            "{bench}/{config}: flat and reference disagree"
-        );
+        let iters = self.iters(iters);
+        let (mut ra, mut rb) = (Vec::new(), Vec::new());
+        for _ in 0..self.trials() {
+            ra.push(time_per_iter(iters, &mut fa));
+            rb.push(time_per_iter(iters, &mut fb));
+        }
+        self.push(bench, config, a, iters, &ra);
+        self.push(bench, config, b, iters, &rb);
+        assert_eq!(ra[0].1, rb[0].1, "{bench}/{config}: {a} and {b} disagree");
+        self.speedup(bench, config, b, a);
+    }
+
+    /// Records `median(base) / median(cand)` for two rows already measured.
+    fn speedup(&mut self, bench: &str, config: &str, base: &str, cand: &str) {
+        let median = |variant: &str| {
+            self.results
+                .iter()
+                .find(|m| m.bench == bench && m.config == config && m.variant == variant)
+                .map(|m| m.per_iter_ms)
+        };
+        if let (Some(b), Some(c)) = (median(base), median(cand)) {
+            self.speedups.push(Speedup {
+                bench: bench.to_string(),
+                config: config.to_string(),
+                ratio: format!("{base}/{cand}"),
+                speedup: b / c.max(1e-9),
+            });
+        }
     }
 }
 
@@ -169,6 +247,13 @@ fn fingerprint(p: Option<&krsp_flow::CspPath>) -> i64 {
         h = h.wrapping_mul(131).wrapping_add(e.index() as i64);
     }
     h
+}
+
+/// Edge-id fingerprint of a cycle or a flow, in iteration order.
+fn fold_ids(ids: impl Iterator<Item = EdgeId>) -> i64 {
+    ids.fold(17, |acc, e| {
+        acc.wrapping_mul(131).wrapping_add(e.index() as i64)
+    })
 }
 
 /// The pinned instance grid. `(label, family, n, k, regime, tightness,
@@ -252,6 +337,7 @@ fn main() {
 
     let mut h = Harness {
         results: Vec::new(),
+        speedups: Vec::new(),
         smoke,
     };
     let grid = grid(smoke);
@@ -266,16 +352,24 @@ fn main() {
         h.ab(
             "budget_dp",
             label,
-            if smoke { 2 } else { 15 },
-            || fingerprint(constrained_shortest_path_with(g, s, t, d, &mut dp).as_ref()),
-            || fingerprint(reference::constrained_shortest_path(g, s, t, d).as_ref()),
+            15,
+            ("flat", || {
+                fingerprint(constrained_shortest_path_with(g, s, t, d, &mut dp).as_ref())
+            }),
+            ("reference", || {
+                fingerprint(reference::constrained_shortest_path(g, s, t, d).as_ref())
+            }),
         );
         h.ab(
             "rsp_fptas",
             label,
-            if smoke { 2 } else { 15 },
-            || fingerprint(rsp_fptas_with(g, s, t, d, 1, 4, &mut dp).as_ref()),
-            || fingerprint(reference::rsp_fptas(g, s, t, d, 1, 4).as_ref()),
+            15,
+            ("flat", || {
+                fingerprint(rsp_fptas_with(g, s, t, d, 1, 4, &mut dp).as_ref())
+            }),
+            ("reference", || {
+                fingerprint(reference::rsp_fptas(g, s, t, d, 1, 4).as_ref())
+            }),
         );
     }
 
@@ -296,20 +390,14 @@ fn main() {
         let d = inst.delay_bound;
         let exact = constrained_shortest_path_with(g, s, t, d, &mut dp);
         for kind in KERNEL_KINDS {
-            h.record(
-                "rsp_kernel",
-                label,
-                kind.as_str(),
-                if smoke { 2 } else { 15 },
-                || {
-                    fingerprint(
-                        kernel(kind)
-                            .solve_with(g, s, t, d, eps_num, eps_den, &mut dp)
-                            .expect("1/16 is a valid epsilon")
-                            .as_ref(),
-                    )
-                },
-            );
+            h.record("rsp_kernel", label, kind.as_str(), 15, || {
+                fingerprint(
+                    kernel(kind)
+                        .solve_with(g, s, t, d, eps_num, eps_den, &mut dp)
+                        .expect("1/16 is a valid epsilon")
+                        .as_ref(),
+                )
+            });
             let got = kernel(kind)
                 .solve_with(g, s, t, d, eps_num, eps_den, &mut dp)
                 .expect("1/16 is a valid epsilon");
@@ -337,22 +425,28 @@ fn main() {
                 ),
             }
         }
+        // > 1.0 means the interval kernel's narrow final sweep pays at
+        // ε = 1/16.
+        h.speedup("rsp_kernel", label, "classic", "interval");
     }
 
-    // --- bellman_ford(cycle): early-exit engine vs the textbook run ------
+    // --- bellman_ford(cycle): pass 1 on packed keys vs on Lex2 ----------
     // Pass 1 of the bicameral search: the residual graph of the min-sum
-    // (delay-oblivious) flow under the scalar weight w with ΔD = −1 and ΔC
-    // above every |c(O)|, so every delay-reducing residual cycle is
-    // negative. A cycle must exist (asserted), so the textbook run pays all
-    // n rounds and the early exit stops at the first predecessor cycle; the
-    // checksum is found/not-found, since the two may return different
-    // cycles.
+    // (delay-oblivious) flow under the lexicographic (w, d) with ΔD = −1
+    // and ΔC above every |c(O)|, so every delay-reducing residual cycle is
+    // negative. A cycle must exist (asserted). The packed variant packs
+    // the keys inside the timed loop, as the solver does per search. The
+    // packed run makes the Lex2 run's every decision, so the checksum
+    // folds the returned cycle's edge ids.
     // --- min_cost_flow: Dijkstra SSP vs one Bellman–Ford per augmentation
     // The k-unit min-cost flow phase 1 and the baselines run, on the
     // instance graph under (c, d). Both variants reach the same optimum, so
-    // the checksum folds its total weight. The Dijkstra side takes tens of
-    // microseconds, so the row runs enough iterations to last ≥ 100 ms.
-    let mut bf: BfScratch<Lex2> = BfScratch::new();
+    // the checksum folds its total weight. `min_cost_flow(packed)` races
+    // the same Dijkstra on packed keys against its Lex2 run; those return
+    // the same flow, so that checksum folds the flow's edge ids.
+    let mut packed: BfScratch<i64> = BfScratch::new();
+    let mut lex: BfScratch<Lex2> = BfScratch::new();
+    let mut keys = Vec::new();
     for (label, inst) in &grid {
         let min_sum = baselines::min_sum(inst).expect("grid instances are feasible");
         let residual = ResidualGraph::build(&inst.graph, &min_sum.edges);
@@ -367,24 +461,27 @@ fn main() {
         };
         let w = |e: EdgeId| {
             let r = rg.edge(e);
-            Lex2::new(ctx.w(r.cost, r.delay), 0)
+            Lex2::new(ctx.w(r.cost, r.delay), i128::from(r.delay))
         };
+        let cycle_ck = |cycle: Option<&[EdgeId]>| cycle.map_or(-1, |c| fold_ids(c.iter().copied()));
         h.ab(
             "bellman_ford(cycle)",
             label,
-            if smoke { 2 } else { 400 },
-            || i64::from(find_negative_cycle_in(rg, w, &mut bf).is_some()),
-            || {
-                i64::from(
-                    reference::bellman_ford(rg, rg.node_iter(), w)
-                        .negative_cycle
-                        .is_some(),
-                )
-            },
+            4000,
+            ("packed", || {
+                assert!(pack_lex_keys(rg.edge_count(), w, walk_terms(rg), &mut keys));
+                let keys = &keys;
+                cycle_ck(find_negative_cycle_in(
+                    rg,
+                    |e: EdgeId| keys[e.index()],
+                    &mut packed,
+                ))
+            }),
+            ("lex2", || cycle_ck(find_negative_cycle_in(rg, w, &mut lex))),
         );
-        assert_eq!(
+        assert_ne!(
             h.results.last().map(|m| m.checksum),
-            Some(1),
+            Some(-1),
             "bellman_ford(cycle)/{label}: the min-sum residual must hold a negative cycle"
         );
 
@@ -400,9 +497,32 @@ fn main() {
         h.ab(
             "min_cost_flow",
             label,
-            if smoke { 2 } else { 6000 },
-            || total(min_cost_k_flow(g, inst.s, inst.t, inst.k, cd)),
-            || total(reference::min_cost_k_flow(g, inst.s, inst.t, inst.k, cd)),
+            6000,
+            ("flat", || {
+                total(min_cost_k_flow(g, inst.s, inst.t, inst.k, cd))
+            }),
+            ("reference", || {
+                total(reference::min_cost_k_flow(g, inst.s, inst.t, inst.k, cd))
+            }),
+        );
+        let flow_ck = |f: Option<McfFlow<Lex2>>| {
+            fold_ids(
+                f.expect("grid instances hold k disjoint paths")
+                    .edges
+                    .iter(),
+            )
+        };
+        assert!(pack_lex_keys(g.edge_count(), cd, flow_terms(g), &mut keys));
+        h.ab(
+            "min_cost_flow(packed)",
+            label,
+            6000,
+            ("packed", || {
+                flow_ck(min_cost_k_flow_lex(g, inst.s, inst.t, inst.k, cd))
+            }),
+            ("lex2", || {
+                flow_ck(min_cost_k_flow(g, inst.s, inst.t, inst.k, cd))
+            }),
         );
     }
 
@@ -415,8 +535,12 @@ fn main() {
     // therefore finds nothing and every timed iteration is the same full
     // sweep of all seeds — the deterministic worst case the cooperative
     // cancellation must not slow down. Checksums are cross-checked over
-    // the widths: all variants must agree the sweep comes up empty.
-    let widths: &[usize] = if smoke { &[1, 2] } else { &[1, 2, 4] };
+    // the widths: all variants must agree the sweep comes up empty. No
+    // width past the host's `nproc` runs: it would time oversubscription,
+    // not the scan.
+    let host = Host::detect();
+    let widths: Vec<usize> = [1, 2, 4].into_iter().filter(|&w| w <= host.nproc).collect();
+    let widest = format!("threads{}", widths.last().expect("width 1 always runs"));
     for (label, inst) in &grid {
         let Some(base) = baselines::min_delay(inst) else {
             continue;
@@ -436,13 +560,13 @@ fn main() {
             enforce_cost_cap: true,
             scc_prune: true,
         };
-        for &width in widths {
+        for &width in &widths {
             krsp::set_solver_width(width);
             h.record(
                 "bicameral_search",
                 label,
                 &format!("threads{width}"),
-                if smoke { 2 } else { 20 },
+                20,
                 || {
                     seed_scan_only(&residual, &ctx).map_or(-1, |cyc| {
                         cyc.edges.iter().fold(
@@ -462,11 +586,15 @@ fn main() {
                 "bicameral_search/{label}: width variants disagree"
             );
         }
+        // The parallel gain; absent on a single-core host.
+        if widths.len() > 1 {
+            h.speedup("bicameral_search", label, "threads1", &widest);
+        }
     }
 
     // --- end-to-end solve (no reference variant; tracked over time) -----
     for (label, inst) in &grid {
-        h.record("solve", label, "current", if smoke { 1 } else { 3 }, || {
+        h.record("solve", label, "current", 200, || {
             solve(inst, &Config::default())
                 .map(|out| {
                     out.solution
@@ -488,6 +616,9 @@ fn main() {
     // bit-identically — the amortization must not change a single path.
     let nq = if smoke { 8 } else { 64 };
     let batch_sizes: &[usize] = if smoke { &[1, 8] } else { &[1, 8, 64] };
+    // Per-query cost unbatched over the widest batch: > 1.0 means batching
+    // pays; the committed full-mode numbers are the T12 acceptance curve.
+    let widest_batch = format!("batch{}", batch_sizes.last().expect("batch axis nonempty"));
     for (label, inst) in &grid {
         let g = &inst.graph;
         let d = inst.delay_bound;
@@ -503,37 +634,25 @@ fn main() {
                 delay_bound: (d - (j as i64 % 5)).max(0),
             })
             .collect();
-        h.record(
-            "csp_batch",
-            label,
-            "unbatched",
-            if smoke { 2 } else { 5 },
-            || {
-                queries.iter().fold(0i64, |acc, q| {
-                    let p = constrained_shortest_path_with(g, q.s, q.t, q.delay_bound, &mut dp);
-                    acc.wrapping_mul(1_000_003)
-                        .wrapping_add(fingerprint(p.as_ref()))
-                })
-            },
-        );
+        h.record("csp_batch", label, "unbatched", 5, || {
+            queries.iter().fold(0i64, |acc, q| {
+                let p = constrained_shortest_path_with(g, q.s, q.t, q.delay_bound, &mut dp);
+                acc.wrapping_mul(1_000_003)
+                    .wrapping_add(fingerprint(p.as_ref()))
+            })
+        });
         for &batch in batch_sizes {
-            h.record(
-                "csp_batch",
-                label,
-                &format!("batch{batch}"),
-                if smoke { 2 } else { 5 },
-                || {
-                    queries.chunks(batch).fold(0i64, |acc, block| {
-                        let digest = TopoDigest::delay_cost(g, d);
-                        constrained_shortest_paths_digested(g, &digest, block, &mut dp)
-                            .iter()
-                            .fold(acc, |acc, p| {
-                                acc.wrapping_mul(1_000_003)
-                                    .wrapping_add(fingerprint(p.as_ref()))
-                            })
-                    })
-                },
-            );
+            h.record("csp_batch", label, &format!("batch{batch}"), 5, || {
+                queries.chunks(batch).fold(0i64, |acc, block| {
+                    let digest = TopoDigest::delay_cost(g, d);
+                    constrained_shortest_paths_digested(g, &digest, block, &mut dp)
+                        .iter()
+                        .fold(acc, |acc, p| {
+                            acc.wrapping_mul(1_000_003)
+                                .wrapping_add(fingerprint(p.as_ref()))
+                        })
+                })
+            });
         }
         let k = h.results.len();
         let rows = 1 + batch_sizes.len();
@@ -545,6 +664,7 @@ fn main() {
                 m.variant
             );
         }
+        h.speedup("csp_batch", label, "unbatched", &widest_batch);
     }
 
     // --- solve_batch: end-to-end batched solving, batch-size axis --------
@@ -575,38 +695,26 @@ fn main() {
             let v = r.map_or(-1, |(c, dl)| c.wrapping_mul(31).wrapping_add(dl));
             acc.wrapping_mul(1_000_003).wrapping_add(v)
         };
-        h.record(
-            "solve_batch",
-            label,
-            "unbatched",
-            if smoke { 1 } else { 2 },
-            || {
-                insts.iter().fold(0i64, |acc, i| {
-                    let r = solve(i, &cfg)
-                        .map(|out| (out.solution.cost, out.solution.delay))
-                        .map_err(|_| ());
-                    fold(acc, r)
-                })
-            },
-        );
+        h.record("solve_batch", label, "unbatched", 2, || {
+            insts.iter().fold(0i64, |acc, i| {
+                let r = solve(i, &cfg)
+                    .map(|out| (out.solution.cost, out.solution.delay))
+                    .map_err(|_| ());
+                fold(acc, r)
+            })
+        });
         for &batch in batch_sizes {
-            h.record(
-                "solve_batch",
-                label,
-                &format!("batch{batch}"),
-                if smoke { 1 } else { 2 },
-                || {
-                    insts.chunks(batch).fold(0i64, |acc, window| {
-                        solve_batch(window, &cfg).iter().fold(acc, |acc, r| {
-                            let r = r
-                                .as_ref()
-                                .map(|out| (out.solution.cost, out.solution.delay))
-                                .map_err(|_| ());
-                            fold(acc, r)
-                        })
+            h.record("solve_batch", label, &format!("batch{batch}"), 2, || {
+                insts.chunks(batch).fold(0i64, |acc, window| {
+                    solve_batch(window, &cfg).iter().fold(acc, |acc, r| {
+                        let r = r
+                            .as_ref()
+                            .map(|out| (out.solution.cost, out.solution.delay))
+                            .map_err(|_| ());
+                        fold(acc, r)
                     })
-                },
-            );
+                })
+            });
         }
         let k = h.results.len();
         let rows = 1 + batch_sizes.len();
@@ -618,102 +726,22 @@ fn main() {
                 m.variant
             );
         }
+        h.speedup("solve_batch", label, "unbatched", &widest_batch);
     }
 
-    // --- speedups for the A/B pairs --------------------------------------
-    let mut speedups = Vec::new();
-    for i in (0..h.results.len()).step_by(1) {
-        let m = &h.results[i];
-        if m.variant != "flat" {
-            continue;
-        }
-        let reference = h
-            .results
-            .iter()
-            .find(|r| r.bench == m.bench && r.config == m.config && r.variant == "reference");
-        if let Some(r) = reference {
-            speedups.push(Speedup {
-                bench: m.bench.clone(),
-                config: m.config.clone(),
-                speedup: r.per_iter_ms / m.per_iter_ms.max(1e-9),
-            });
-        }
-    }
-
-    // bicameral_search speedup: single-threaded over the widest variant
-    // measured. On a multi-core host this is the parallel gain; on a
-    // single-core recorder it documents the pool's overhead (≈1.0).
-    let widest = format!("threads{}", widths.last().expect("widths nonempty"));
-    for m in &h.results {
-        if m.bench != "bicameral_search" || m.variant != "threads1" {
-            continue;
-        }
-        if let Some(w) = h
-            .results
-            .iter()
-            .find(|r| r.bench == m.bench && r.config == m.config && r.variant == widest)
-        {
-            speedups.push(Speedup {
-                bench: format!("bicameral_search(threads1/{widest})"),
-                config: m.config.clone(),
-                speedup: m.per_iter_ms / w.per_iter_ms.max(1e-9),
-            });
-        }
-    }
-
-    // Kernel-axis speedup: classic over interval per-iteration. > 1.0
-    // means the interval kernel's narrow final sweep pays at ε = 1/16.
-    for m in &h.results {
-        if m.bench != "rsp_kernel" || m.variant != "classic" {
-            continue;
-        }
-        if let Some(iv) = h
-            .results
-            .iter()
-            .find(|r| r.bench == m.bench && r.config == m.config && r.variant == "interval")
-        {
-            speedups.push(Speedup {
-                bench: "rsp_kernel(classic/interval)".to_string(),
-                config: m.config.clone(),
-                speedup: m.per_iter_ms / iv.per_iter_ms.max(1e-9),
-            });
-        }
-    }
-
-    // Batch amortization: per-query cost unbatched over the widest batch.
-    // > 1.0 means batching pays; the committed full-mode numbers are the
-    // T12 acceptance curve.
-    let widest_batch = format!("batch{}", batch_sizes.last().expect("batch axis nonempty"));
-    for m in &h.results {
-        if m.variant != "unbatched" {
-            continue;
-        }
-        if let Some(w) = h
-            .results
-            .iter()
-            .find(|r| r.bench == m.bench && r.config == m.config && r.variant == widest_batch)
-        {
-            speedups.push(Speedup {
-                bench: format!("{}(unbatched/{widest_batch})", m.bench),
-                config: m.config.clone(),
-                speedup: m.per_iter_ms / w.per_iter_ms.max(1e-9),
-            });
-        }
-    }
-
-    let host = Host::detect();
     let caveat = (host.nproc == 1).then(|| {
-        "recorded on a single-core host: threads-axis and batch-axis rows cannot show \
-         parallel gains here; per-iteration A/B and kernel-axis comparisons remain valid"
+        "recorded on a single-core host: the threads axis stops at threads1 and the \
+         batch-axis rows cannot show parallel gains here; per-iteration A/B and \
+         kernel-axis comparisons remain valid"
             .to_string()
     });
     let report = Report {
-        schema: "krsp-bench-kernels/v1".to_string(),
+        schema: "krsp-bench-kernels/v2".to_string(),
         mode: if smoke { "smoke" } else { "full" }.to_string(),
         host,
         caveat,
         results: h.results,
-        speedups,
+        speedups: h.speedups,
     };
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
     // Self-validate before writing: the emitted text must parse back.

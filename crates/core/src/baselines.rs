@@ -16,7 +16,7 @@ use crate::instance::Instance;
 use crate::phase1::{self, Phase1Backend};
 use crate::solution::Solution;
 use krsp_flow::karp::min_ratio_cycle;
-use krsp_flow::{kernel, min_cost_k_flow, DpScratch, KernelKind};
+use krsp_flow::{kernel, min_cost_k_flow_lex, DpScratch, KernelKind};
 use krsp_graph::{DiGraph, EdgeId, EdgeSet, ResidualGraph};
 use krsp_numeric::Lex2;
 
@@ -37,7 +37,7 @@ use krsp_numeric::Lex2;
 /// ```
 #[must_use]
 pub fn min_sum(inst: &Instance) -> Option<Solution> {
-    let f = min_cost_k_flow(&inst.graph, inst.s, inst.t, inst.k, |e: EdgeId| {
+    let f = min_cost_k_flow_lex(&inst.graph, inst.s, inst.t, inst.k, |e: EdgeId| {
         let r = inst.graph.edge(e);
         Lex2::new(r.cost as i128, r.delay as i128)
     })?;
@@ -47,7 +47,7 @@ pub fn min_sum(inst: &Instance) -> Option<Solution> {
 /// Minimum-delay `k` disjoint paths (ties broken by cost).
 #[must_use]
 pub fn min_delay(inst: &Instance) -> Option<Solution> {
-    let f = min_cost_k_flow(&inst.graph, inst.s, inst.t, inst.k, |e: EdgeId| {
+    let f = min_cost_k_flow_lex(&inst.graph, inst.s, inst.t, inst.k, |e: EdgeId| {
         let r = inst.graph.edge(e);
         Lex2::new(r.delay as i128, r.cost as i128)
     })?;

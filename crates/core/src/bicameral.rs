@@ -27,22 +27,31 @@
 //! ## Engines
 //!
 //! * [`Engine::Layered`] (default): up to three passes, each a
-//!   negative-cycle search under `w` (refined lexicographically by `d`):
+//!   negative-cycle search under `w` refined lexicographically by `d`:
 //!   plain Bellman–Ford on `G̃` first (no cost window — accept if the found
 //!   cycle happens to respect the cap), then the combined layered graph
 //!   with doubling `B`, then the per-seed graphs `H_v^±(cap)` as the
 //!   completeness fallback. `find_plain_with` runs pass 1 alone, for
-//!   Algorithm 1's floor probe. Each Bellman–Ford run returns the first cycle
-//!   its predecessor graph closes (`krsp_flow::bellman_ford`), so a search
-//!   that finds a cycle pays for the rounds that took, not for n rounds,
-//!   and *which* negative cycle comes back depends on the relaxation
-//!   order. That is all Algorithm 1 needs: Lemmas 11–12 argue about some
-//!   bicameral cycle per iteration, and every harvested cycle is classified
-//!   against Definition 10 before it is returned. The scratch's
-//!   cancellation token is polled once per Bellman–Ford round, so a tripped
-//!   deadline stops a search within one O(m) round; a cancelled search
-//!   returns `None`, and callers re-check the token before reading that as
-//!   "no bicameral cycle".
+//!   Algorithm 1's floor probe.
+//!
+//!   Pass 1 is one search under `(w, d)`. Every cycle with `w < 0` is
+//!   negative under `(w, d)` too, so a strict search under `w` alone would
+//!   find nothing this one misses. It runs on one packed `i64` key per
+//!   residual edge (`krsp_flow::weight::pack_lex_keys`) and makes every
+//!   decision the `Lex2` run makes; where the packing bound fails, it runs
+//!   on `Lex2`. Passes 2 and 3 run on `Lex2`.
+//!
+//!   Each Bellman–Ford run returns the first cycle its predecessor graph
+//!   closes (`krsp_flow::bellman_ford`), so a search that finds a cycle
+//!   pays for the rounds that took, not for n rounds, and *which* negative
+//!   cycle comes back depends on the relaxation order. That is all
+//!   Algorithm 1 needs: Lemmas 11–12 argue about some bicameral cycle per
+//!   iteration, and every harvested cycle is classified against
+//!   Definition 10 before it is returned. The scratch installs its
+//!   cancellation token on each Bellman–Ford scratch it holds, and each
+//!   run polls it once per round, so a tripped deadline stops a search
+//!   within one O(m) round; a cancelled search returns `None`, and callers
+//!   re-check the token before reading that as "no bicameral cycle".
 //! * [`Engine::LpRounding`] (paper-faithful): Algorithm 3 — per seed `v`
 //!   and bound `B`, build `H_v^±(B)`, solve LP (6) with the exact rational
 //!   simplex, release the support cycles, select per Algorithm 3's ratio
@@ -51,8 +60,9 @@
 
 use crate::auxgraph::{AuxGraph, Sign};
 use krsp_failpoint::fail_point;
-use krsp_flow::bellman_ford::{find_negative_cycle_in, BfScratch};
+use krsp_flow::bellman_ford::{find_negative_cycle_in, walk_terms, BfScratch};
 use krsp_flow::cancel::CancelToken;
+use krsp_flow::weight::pack_lex_keys;
 use krsp_graph::{split_closed_walk, DiGraph, EdgeId, NodeId, ResidualGraph};
 use krsp_lp::{LpOutcome, Model, Rat, Relation};
 use krsp_numeric::Lex2;
@@ -161,14 +171,19 @@ impl Ctx {
 
 /// Caller-owned buffers for repeated bicameral searches.
 ///
-/// Algorithm 1 calls [`find`] once per cancellation iteration, and each
-/// layered pass inside runs Bellman–Ford under `Lex2` weights; holding one
-/// scratch per probe lets all of those share buffers ([`find_with`]).
+/// Algorithm 1 calls [`find`] once per cancellation iteration. Pass 1 runs
+/// Bellman–Ford on packed `i64` keys (or on `Lex2` weights where packing is
+/// not exact) and pass 2 on `Lex2` weights; holding one scratch per probe
+/// lets all of those share buffers ([`find_with`]).
 #[derive(Default)]
 pub struct SearchScratch {
-    /// Bellman–Ford buffers for the sequential passes 1 and 2. Its
-    /// cancellation token is the search's: polled once per Bellman–Ford
-    /// round, and between passes and seeds. Defaults to
+    /// Pass 1's packed key per residual edge.
+    keys: Vec<i64>,
+    /// Bellman–Ford buffers for pass 1 on the packed keys.
+    packed: BfScratch<i64>,
+    /// Bellman–Ford buffers for pass 1's `Lex2` fallback and for pass 2.
+    /// Both scratches carry the search's cancellation token: polled once
+    /// per Bellman–Ford round, and between passes and seeds. Defaults to
     /// [`CancelToken::never`].
     bf: BfScratch<Lex2>,
 }
@@ -180,9 +195,11 @@ impl SearchScratch {
         SearchScratch::default()
     }
 
-    /// Installs the cancellation token future searches poll; pass
-    /// [`CancelToken::never`] to make the scratch uncancellable again.
+    /// Installs the cancellation token future searches poll on every
+    /// Bellman–Ford scratch it holds; pass [`CancelToken::never`] to make
+    /// the scratch uncancellable again.
     pub fn set_cancel(&mut self, cancel: CancelToken) {
+        self.packed.set_cancel(cancel.clone());
         self.bf.set_cancel(cancel);
     }
 
@@ -361,39 +378,37 @@ fn search_subgraphs(residual: &ResidualGraph, prune: bool) -> Vec<SubResidual<'_
         .collect()
 }
 
-/// Pass 1 — plain negative-cycle detection under w (strict), then under
-/// the lexicographic (w, d) to catch w = 0, d < 0 boundary cycles. Both
-/// weights are monomorphized closures (no boxed dispatch per relaxation).
+/// Pass 1 — plain negative-cycle detection under the lexicographic
+/// `(w, d)`, on one packed `i64` key per residual edge wherever that is
+/// exact ([`pack_lex_keys`] under [`walk_terms`]). A cycle with `w < 0` is
+/// negative under `(w, d)` too, and so is a `w = 0, d < 0` boundary cycle,
+/// so this one search finds a cycle whenever a strict search under `w`
+/// would; only which cycle it returns can differ.
 fn plain(
     residual: &ResidualGraph,
     ctx: &Ctx,
     scratch: &mut SearchScratch,
 ) -> Option<BicameralCycle> {
     let rg = residual.graph();
-    for strict in [true, false] {
-        let walk = find_negative_cycle_in(
-            rg,
-            |e: EdgeId| {
-                let r = rg.edge(e);
-                let d2 = if strict { 0 } else { r.delay as i128 };
-                Lex2::new(ctx.w(r.cost, r.delay), d2)
-            },
-            &mut scratch.bf,
-        );
-        if let Some(walk) = walk {
-            if let Some((edges, cost, delay, kind)) = harvest(residual, rg, walk, |e| e, ctx) {
-                return Some(BicameralCycle {
-                    edges,
-                    cost,
-                    delay,
-                    kind,
-                    fast_pass: true,
-                    bound_used: None,
-                });
-            }
-        }
-    }
-    None
+    let weight = |e: EdgeId| {
+        let r = rg.edge(e);
+        Lex2::new(ctx.w(r.cost, r.delay), i128::from(r.delay))
+    };
+    let SearchScratch { keys, packed, bf } = scratch;
+    let walk = if pack_lex_keys(rg.edge_count(), weight, walk_terms(rg), keys) {
+        find_negative_cycle_in(rg, |e: EdgeId| keys[e.index()], packed)
+    } else {
+        find_negative_cycle_in(rg, weight, bf)
+    }?;
+    let (edges, cost, delay, kind) = harvest(residual, rg, walk, |e| e, ctx)?;
+    Some(BicameralCycle {
+        edges,
+        cost,
+        delay,
+        kind,
+        fast_pass: true,
+        bound_used: None,
+    })
 }
 
 fn layered(
@@ -898,6 +913,69 @@ mod tests {
                 "(c,d)=({},{}) ΔD={} ΔC={} cap={}", cost, delay, delta_d, delta_c, cap
             );
         }
+    }
+
+    /// Solution path 0→1→2 (`e0`, `e1`) with a parallel alternative to each
+    /// edge. Under `ΔD = −1, ΔC = 1` (`w = c + d`), swapping onto `e2` is a
+    /// residual cycle with `(c, d) = (−1, −1)`, `w < 0`, and swapping onto
+    /// `e3` one with `(1, −1)`, `w = 0` and `d < 0`.
+    fn two_kinds_of_cycle(with_strict: bool) -> (ResidualGraph, Ctx) {
+        let mut edges = vec![(0, 1, 2, 2), (1, 2, 1, 3), (1, 2, 2, 2)];
+        if with_strict {
+            edges.push((0, 1, 1, 1));
+        }
+        let g = krsp_graph::DiGraph::from_edges(3, &edges);
+        let sol = EdgeSet::from_edges(g.edge_count(), &[EdgeId(0), EdgeId(1)]);
+        (ResidualGraph::build(&g, &sol), ctx(-1, 1, 10))
+    }
+
+    #[test]
+    fn one_lexicographic_search_finds_strict_and_boundary_cycles() {
+        for with_strict in [true, false] {
+            let (res, c) = two_kinds_of_cycle(with_strict);
+            let cyc = plain(&res, &c, &mut SearchScratch::new()).expect("pass 1 finds a cycle");
+            assert!(res.is_valid_cycle_set(&cyc.edges));
+            assert_eq!(c.classify(cyc.cost, cyc.delay), Some(cyc.kind));
+            assert!(cyc.fast_pass);
+            if !with_strict {
+                // Only the w = 0, d < 0 boundary cycle exists.
+                assert_eq!((cyc.cost, cyc.delay), (1, -1));
+            }
+        }
+    }
+
+    #[test]
+    fn tripped_token_stops_the_packed_search_and_a_fresh_one_recovers() {
+        let (res, c) = two_kinds_of_cycle(true);
+        let rg = res.graph();
+        let w = |e: EdgeId| {
+            let r = rg.edge(e);
+            Lex2::new(c.w(r.cost, r.delay), i128::from(r.delay))
+        };
+        assert!(pack_lex_keys(
+            rg.edge_count(),
+            w,
+            walk_terms(rg),
+            &mut Vec::new()
+        ));
+        let mut scratch = SearchScratch::new();
+        let token = CancelToken::cancellable();
+        token.cancel();
+        scratch.set_cancel(token);
+        // Both Bellman–Ford scratches carry the token, so the packed run
+        // stops at its first per-round poll and reports nothing.
+        assert!(scratch.packed.cancel().is_cancelled());
+        assert!(scratch.bf.cancel().is_cancelled());
+        assert!(plain(&res, &c, &mut scratch).is_none());
+        assert!(find_with(&res, &c, Engine::Layered, BSearch::Doubling, &mut scratch).is_none());
+
+        scratch.set_cancel(CancelToken::cancellable());
+        let got = plain(&res, &c, &mut scratch).expect("fresh token");
+        let want = plain(&res, &c, &mut SearchScratch::new()).expect("fresh scratch");
+        assert_eq!(
+            (got.edges, got.cost, got.delay, got.kind),
+            (want.edges, want.cost, want.delay, want.kind)
+        );
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //! Both are cross-checked against each other in the test-suite.
 
 use crate::instance::Instance;
-use krsp_flow::{min_cost_k_flow, McfFlow};
+use krsp_flow::{min_cost_k_flow_lex, McfFlow};
 use krsp_graph::{EdgeId, EdgeSet};
 use krsp_lp::{LpOutcome, Model, Rat, Relation};
 use krsp_numeric::Lex2;
@@ -173,7 +173,7 @@ fn assemble(
 /// Min-`(q·c + p·d, d)` flow — the minimum-delay flow among all flows
 /// minimizing the scalarized weight at `λ = p/q`.
 fn scalarized_flow(inst: &Instance, p: i128, q: i128) -> Option<McfFlow<Lex2>> {
-    min_cost_k_flow(&inst.graph, inst.s, inst.t, inst.k, |e: EdgeId| {
+    min_cost_k_flow_lex(&inst.graph, inst.s, inst.t, inst.k, |e: EdgeId| {
         let r = inst.graph.edge(e);
         Lex2::new(q * r.cost as i128 + p * r.delay as i128, r.delay as i128)
     })
@@ -232,7 +232,7 @@ fn newton(inst: &Instance) -> Result<Newton, Phase1Error> {
         return Ok(Newton::MinCostFeasible(f_c.edges));
     }
     // f_d: min delay, then min cost.
-    let f_d = min_cost_k_flow(&inst.graph, inst.s, inst.t, inst.k, |e: EdgeId| {
+    let f_d = min_cost_k_flow_lex(&inst.graph, inst.s, inst.t, inst.k, |e: EdgeId| {
         let r = inst.graph.edge(e);
         Lex2::new(r.delay as i128, r.cost as i128)
     })
@@ -417,6 +417,7 @@ fn simplex(inst: &Instance) -> Result<Phase1, Phase1Error> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use krsp_flow::min_cost_k_flow;
     use krsp_graph::{DiGraph, NodeId};
     use proptest::prelude::*;
 
@@ -569,6 +570,66 @@ mod tests {
                 lag.lp_bound, sx.lp_bound,
                 "backends disagree on C_LP at D={d}"
             );
+        }
+    }
+
+    /// Costs near 2⁴¹ put the breakpoint's scalarized weights past the
+    /// packing bound, so those flows run on `Lex2` while the min-cost flow
+    /// still packs. The expected values are what phase 1 returns with
+    /// every flow on `Lex2`.
+    #[test]
+    fn weights_past_the_packing_bound_fall_back_to_lex2() {
+        let scale = 1i64 << 41;
+        let scaled = |d_bound: i64| {
+            let edges: Vec<_> = tradeoff(d_bound)
+                .graph
+                .edges()
+                .iter()
+                .map(|e| (e.src.0, e.dst.0, e.cost * scale, e.delay))
+                .collect();
+            let g = DiGraph::from_edges(6, &edges);
+            Instance::new(g, NodeId(0), NodeId(5), 2, d_bound).unwrap()
+        };
+        let inst = scaled(16);
+        let (m, terms) = (inst.m(), krsp_flow::flow_terms(&inst.graph));
+        let mut keys = Vec::new();
+        let (p, q) = (7 * i128::from(scale), 9);
+        let g = &inst.graph;
+        let lex = |p: i128, q: i128| {
+            move |e: EdgeId| {
+                let r = g.edge(e);
+                Lex2::new(
+                    q * i128::from(r.cost) + p * i128::from(r.delay),
+                    r.delay.into(),
+                )
+            }
+        };
+        assert!(krsp_flow::pack_lex_keys(m, lex(0, 1), terms, &mut keys));
+        assert!(!krsp_flow::pack_lex_keys(m, lex(p, q), terms, &mut keys));
+
+        let ids = |f: &EdgeSet| f.iter().map(|e| e.0).collect::<Vec<_>>();
+        for (d_bound, cost, delay, lp, flow) in [
+            (
+                16,
+                20 * scale,
+                14,
+                Rat::new(166 * i128::from(scale), 9),
+                [2, 3, 4, 5],
+            ),
+            (
+                22,
+                6 * scale,
+                32,
+                Rat::new(124 * i128::from(scale), 9),
+                [0, 1, 4, 5],
+            ),
+        ] {
+            let p1 = run(&scaled(d_bound), Phase1Backend::Lagrangian).unwrap();
+            assert_eq!((p1.cost, p1.delay, p1.lp_bound), (cost, delay, lp));
+            assert_eq!(p1.lambda, Rat::new(p, q));
+            assert_eq!((p1.feasible_cost, p1.feasible_delay), (20 * scale, 14));
+            assert_eq!(ids(&p1.flow), flow);
+            assert_eq!(ids(&p1.feasible_flow), [2, 3, 4, 5]);
         }
     }
 

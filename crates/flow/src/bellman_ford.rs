@@ -26,6 +26,10 @@
 //! share the `dist`/`pred`/`order`/`relaxed`/cycle buffers instead of
 //! reallocating them every time, and carries the [`CancelToken`] each run
 //! polls once per round (DESIGN.md §4.12).
+//!
+//! A lexicographic search runs on one packed `i64` key per edge when
+//! [`crate::weight::pack_lex_keys`], given [`walk_terms`], proves that
+//! exact; it then returns the cycle, `pred` and verdict of the `Lex2` run.
 
 use crate::cancel::CancelToken;
 use crate::weight::Weight;
@@ -121,6 +125,19 @@ impl<W> BfScratch<W> {
     pub fn cancel(&self) -> &CancelToken {
         &self.cancel
     }
+}
+
+/// The most edge weights a value held by a run on `graph` can sum: `n·m`,
+/// the bound [`crate::weight::pack_lex_keys`] packs a run's keys under.
+///
+/// Every distance a run holds is the weight of a walk, and so is every
+/// candidate it compares. A source holds the empty walk. The candidate of
+/// the `j`-th edge scan extends a distance set at an earlier scan by one
+/// edge, so by induction it is a walk of at most `j` edges. A run makes at
+/// most `n` rounds of `m` scans, and the cycle check compares no weights.
+#[must_use]
+pub fn walk_terms(graph: &DiGraph) -> u64 {
+    graph.node_count() as u64 * graph.edge_count() as u64
 }
 
 /// Bellman–Ford from a single source.
@@ -278,6 +295,7 @@ fn predecessor_cycle(
 mod tests {
     use super::*;
     use crate::reference;
+    use crate::weight::pack_lex_keys;
     use krsp_numeric::Lex2;
     use proptest::prelude::*;
 
@@ -466,15 +484,49 @@ mod tests {
         Ok(())
     }
 
+    /// Runs `weight` and its packed keys through both entry points and
+    /// checks that they agree on everything but the distances' encoding:
+    /// the verdict, the cycle and `pred`.
+    fn packed_agrees_with_lex2(
+        g: &DiGraph,
+        weight: impl Fn(EdgeId) -> Lex2 + Copy,
+    ) -> TestCaseResult {
+        let mut keys = Vec::new();
+        prop_assert!(pack_lex_keys(
+            g.edge_count(),
+            weight,
+            walk_terms(g),
+            &mut keys
+        ));
+        let key = |e: EdgeId| keys[e.index()];
+        let mut lex = BfScratch::new();
+        let mut packed = BfScratch::new();
+        let found = run(g, g.node_iter(), weight, &mut lex);
+        prop_assert_eq!(run(g, g.node_iter(), key, &mut packed), found);
+        if found {
+            prop_assert_eq!(&packed.cycle, &lex.cycle);
+        }
+        prop_assert_eq!(&packed.pred, &lex.pred);
+        let single = bellman_ford(g, NodeId(0), weight);
+        let single_packed = bellman_ford(g, NodeId(0), key);
+        prop_assert_eq!(&single_packed.negative_cycle, &single.negative_cycle);
+        prop_assert_eq!(&single_packed.pred, &single.pred);
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
         /// The early-exit engine against the textbook n-round run, on
         /// random signed graphs under `i64` costs and under `Lex2` weights
-        /// whose coarse primary makes zero-primary cycles common.
+        /// whose coarse primary makes zero-primary cycles common; and the
+        /// packed keys of those `Lex2` weights, and of pass 1's
+        /// `(ΔC·d − ΔD·c, d)`, against the `Lex2` run.
         #[test]
         fn prop_matches_textbook_bellman_ford(
             n in 1usize..9,
             edges in proptest::collection::vec((0u32..9, 0u32..9, -6i64..20, -8i64..12), 0..26),
+            delta_c in 0i64..30,
+            delta_d in -30i64..0,
         ) {
             let edges: Vec<(u32, u32, i64, i64)> = edges
                 .into_iter()
@@ -482,9 +534,16 @@ mod tests {
                 .collect();
             let g = DiGraph::from_edges(n, &edges);
             agrees_with_textbook(&g, |e| g.edge(e).cost)?;
-            agrees_with_textbook(&g, |e| {
+            let coarse = |e: EdgeId| {
                 let r = g.edge(e);
                 Lex2::new(i128::from(r.cost.div_euclid(4)), i128::from(r.delay))
+            };
+            agrees_with_textbook(&g, coarse)?;
+            packed_agrees_with_lex2(&g, coarse)?;
+            packed_agrees_with_lex2(&g, |e| {
+                let r = g.edge(e);
+                let (c, d) = (i128::from(r.cost), i128::from(r.delay));
+                Lex2::new(i128::from(delta_c) * d - i128::from(delta_d) * c, d)
             })?;
         }
     }

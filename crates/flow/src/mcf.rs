@@ -15,12 +15,17 @@
 //! Successively augmenting along shortest paths yields, after the `v`-th
 //! augmentation, a minimum-weight flow of value `v` — the classical SSP
 //! invariant. The parametric phase-1 backend and the Suurballe-style
-//! min-sum baseline ([20, 21]) are thin wrappers over [`min_cost_k_flow`].
-//! The Bellman–Ford-per-augmentation version it replaced is kept in
-//! [`crate::reference`] as the oracle of the property tests below.
+//! min-sum baseline ([20, 21]) call [`min_cost_k_flow_lex`], which runs the
+//! generic [`min_cost_k_flow`] on one packed `i64` key per edge
+//! ([`crate::weight::pack_lex_keys`]) wherever that is exact, and on the
+//! [`Lex2`] weights themselves otherwise. The two runs return the same
+//! flow. The Bellman–Ford-per-augmentation version the Dijkstra search
+//! replaced is kept in [`crate::reference`] as the oracle of the property
+//! tests below.
 
-use crate::weight::Weight;
+use crate::weight::{pack_lex_keys, Weight};
 use krsp_graph::{DiGraph, EdgeId, EdgeSet, NodeId};
+use krsp_numeric::Lex2;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -162,10 +167,64 @@ pub fn min_cost_k_flow<W: Weight>(
     })
 }
 
+/// The most edge weights a value held by [`min_cost_k_flow`] on `graph`
+/// can sum: `7·m`, the bound [`min_cost_k_flow_lex`] packs its keys under.
+///
+/// A simple path of the residual graph uses each edge at most once
+/// (forward while it is free, backward while it carries flow), so its
+/// weight `w(P)` sums at most `m` edge weights.
+///
+/// * `π(s)` stays 0: `s` is settled first in every round, at distance 0.
+/// * A node settled in a round gets `π(v) = w(P(v))`, its tree path's
+///   weight, because the reduced weights along `P(v)` telescope to
+///   `w(P(v)) + π(s) − π(v)`. In particular `π(t) = w(P(t))` after each
+///   completed round.
+/// * A node left unsettled is raised by `dist(t) = w(P(t)) − π_old(t)`. So
+///   by induction `π(v) = w(P_j(v)) + w(P_r(t)) − w(P_j(t))`, where `j` is
+///   the last round that settled `v` and `r` the current round, or
+///   `π(v) = w(P_r(t))` if `v` was never settled. That is at most `3m`
+///   terms.
+/// * A reduced weight `±w(e) + π(u) − π(v)` has at most `6m + 1` terms,
+///   and its partial sum `±w(e) + π(u)` at most `3m + 1`.
+/// * A settled distance `w(P(u)) − π(u)` has at most `4m`, and a tentative
+///   one `w(P(u)) ± w(e) − π(v)` at most `4m + 1`. A potential's update
+///   adds one of these to the old potential and lands on the new one.
+/// * The flow's total sums at most `m`.
+#[must_use]
+pub fn flow_terms(graph: &DiGraph) -> u64 {
+    7 * graph.edge_count() as u64
+}
+
+/// [`min_cost_k_flow`] under lexicographic weights, run on one packed
+/// `i64` key per edge when [`pack_lex_keys`] proves that exact under
+/// [`flow_terms`], and on the [`Lex2`] weights otherwise. Both runs return
+/// the same flow, whose weight is summed from `weight`.
+pub fn min_cost_k_flow_lex(
+    graph: &DiGraph,
+    s: NodeId,
+    t: NodeId,
+    k: usize,
+    weight: impl Fn(EdgeId) -> Lex2,
+) -> Option<McfFlow<Lex2>> {
+    let mut keys = Vec::new();
+    if !pack_lex_keys(graph.edge_count(), &weight, flow_terms(graph), &mut keys) {
+        return min_cost_k_flow(graph, s, t, k, weight);
+    }
+    let flow = min_cost_k_flow(graph, s, t, k, |e| keys[e.index()])?;
+    let total = flow
+        .edges
+        .iter()
+        .fold(Lex2::ZERO, |acc, e| acc.add_checked(weight(e)));
+    Some(McfFlow {
+        edges: flow.edges,
+        weight: total,
+        value: flow.value,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use krsp_numeric::Lex2;
     use proptest::prelude::*;
 
     fn cost(g: &DiGraph) -> impl Fn(EdgeId) -> i64 + '_ {
@@ -361,8 +420,37 @@ mod tests {
                 if let Some(f) = &a {
                     prop_assert!(f.edges.is_k_flow(&g, s, t, k));
                 }
+                // The packed run is the Lex2 run: the same edge set, not
+                // only an equally light one.
+                let packed = min_cost_k_flow_lex(&g, s, t, k, w);
+                prop_assert_eq!(
+                    packed.map(|f| (f.edges, f.weight)),
+                    a.as_ref().map(|f| (f.edges.clone(), f.weight))
+                );
                 prop_assert_eq!(a.map(|f| f.weight), b.map(|f| f.weight));
             }
+        }
+    }
+
+    #[test]
+    fn lex_flow_packs_and_falls_back_to_the_same_flow() {
+        // Two cost-equal 2-paths that only the secondary tells apart.
+        let edges = [(0, 1, 1, 50), (1, 3, 1, 50), (0, 2, 1, 10), (2, 3, 1, 10)];
+        let g = DiGraph::from_edges(4, &edges);
+        let (s, t) = (NodeId(0), NodeId(3));
+        let mut keys = Vec::new();
+        for scale in [1i128, 1 << 48] {
+            let w = |e: EdgeId| {
+                let r = g.edge(e);
+                Lex2::new(scale * i128::from(r.cost), i128::from(r.delay))
+            };
+            // Costs near 2⁴⁸ cannot pack under the flow's 7·m terms.
+            let packs = pack_lex_keys(g.edge_count(), w, flow_terms(&g), &mut keys);
+            assert_eq!(packs, scale == 1);
+            let f = min_cost_k_flow_lex(&g, s, t, 1, w).unwrap();
+            let lex = min_cost_k_flow(&g, s, t, 1, w).unwrap();
+            assert_eq!(f.edges, lex.edges);
+            assert_eq!(f.weight, Lex2::new(2 * scale, 20));
         }
     }
 }

@@ -1,10 +1,15 @@
 //! Lexicographic two-component weights.
 //!
-//! The parametric (Lagrangian) phase-1 backend must, at a multiplier value
-//! `λ = p/q`, obtain both the minimum-delay and the maximum-delay flow among
-//! all flows minimizing the scalarized weight `q·c + p·d`. Instead of solving
-//! with floats and fragile tie-breaking, we run min-cost-flow over [`Lex2`]
-//! weights `(q·c + p·d, ±d)` — exact integer lexicographic comparison.
+//! The parametric (Lagrangian) phase-1 backend needs, at a multiplier value
+//! `λ = p/q`, the minimum-delay flow among all flows minimizing the
+//! scalarized weight `q·c + p·d`; the bicameral search needs negative
+//! cycles under `w = ΔC·d − ΔD·c` refined by `d`. Instead of floats and
+//! fragile tie-breaking, both compare `(primary, secondary)` pairs exactly,
+//! lexicographically. [`Lex2`] is that pair at any magnitude, with checked
+//! `i128` arithmetic. The hot searches run on one packed `i64` key per edge
+//! wherever a bound proves that exact (`krsp_flow::weight::pack_lex_keys`).
+//! `Lex2` is their fallback where it does not, the weight of the layered
+//! passes, and the oracle the packed runs are tested against.
 
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;

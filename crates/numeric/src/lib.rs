@@ -9,10 +9,12 @@
 //!   than silently wrapping; the magnitudes arising from the paper's
 //!   algorithms on the workloads in this repository stay far below the
 //!   `i128` range, and the checks make any violation loud).
-//! * [`Lex2`] — a lexicographic two-component weight used to break ties in
-//!   min-cost-flow computations exactly (primary scalarized weight, then
-//!   delay), which is how the parametric phase-1 backend extracts *both*
-//!   extreme optimal flows at a Lagrangian breakpoint without floats.
+//! * [`Lex2`] — a lexicographic two-component weight used to break ties
+//!   exactly (primary scalarized weight, then delay), which is how the
+//!   parametric phase-1 backend picks the minimum-delay optimal flow at a
+//!   Lagrangian breakpoint without floats. The searches run on packed
+//!   `i64` keys where that is provably exact; `Lex2` is their fallback and
+//!   test oracle.
 //! * [`gcd`]/[`lcm`] helpers.
 
 #![forbid(unsafe_code)]

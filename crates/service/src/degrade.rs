@@ -183,13 +183,17 @@ impl Default for LadderPolicy {
 
 impl LadderPolicy {
     /// The default (single-threaded) calibration rescaled for a solver
-    /// `width` threads wide. The dominant cost of the [`Rung::Full`] and
-    /// [`Rung::SingleProbe`] rungs — the bicameral per-seed scan — runs on
-    /// the rayon pool, so those estimates shrink with width; the
-    /// [`Rung::LpRounding`] simplex is sequential and keeps its estimate.
-    /// A conservative half-efficiency model (`width` threads count as
-    /// `(width + 1) / 2`) absorbs the serial passes and pool overhead, so
-    /// admission stays pessimistic rather than optimistic.
+    /// `width` threads wide. Only the bicameral per-seed scan (pass 3 of
+    /// the layered search) runs on the rayon pool, and only a search whose
+    /// passes 1 and 2 found nothing reaches it. On the geometric `k = 2`
+    /// instances most requests finish on phase 1 and the floor probe's
+    /// pass-1 searches, which are sequential, so there the width buys
+    /// little. Where the scan does run it dominates, so the
+    /// [`Rung::Full`] and [`Rung::SingleProbe`] estimates still shrink with
+    /// width; the [`Rung::LpRounding`] simplex is sequential and keeps its
+    /// estimate. A conservative half-efficiency model (`width` threads
+    /// count as `(width + 1) / 2`) absorbs the serial passes and pool
+    /// overhead.
     #[must_use]
     pub fn for_width(width: usize) -> Self {
         let effective = (width.max(1) as u64).div_ceil(2);

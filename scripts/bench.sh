@@ -6,11 +6,11 @@
 #
 # The workload grid, seeds, and iteration counts are pinned inside the
 # `kernels` binary, so two runs on the same machine measure exactly the
-# same work; only wall-clock noise differs. Run on an idle machine before
-# committing updated numbers. The `bicameral_search` rows sweep the solver
-# thread count (threads1/threads2/threads4) on the same sweep, so the
-# parallel speedup is only meaningful on a host with ≥4 cores — record
-# `nproc` alongside the numbers when quoting them.
+# same work; only wall-clock noise differs. Every row runs 5 trials (an
+# A/B pair alternates its variants' trials) and reports the median with its
+# IQR. Run on an idle machine before committing updated numbers. The
+# `bicameral_search` rows sweep the solver thread count (threads1/2/4) on
+# the same sweep, up to the host's `nproc`; the report records `nproc`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -29,4 +29,4 @@ fi
 cargo run --release -p krsp-bench --bin kernels -- "$@" >/dev/null
 echo "BENCH_kernels.json updated:"
 grep -A2 '"speedups"' -m1 BENCH_kernels.json >/dev/null # sanity: section exists
-grep -E '"bench"|"speedup"' BENCH_kernels.json | tail -40
+grep -E '"bench"|"ratio"|"speedup"' BENCH_kernels.json | tail -60

@@ -78,18 +78,21 @@ cargo run -q --release -p krsp-bench --bin kernels -- --smoke --out "$smoke_out"
 # interval) and guarantee-audit each against the exact DP inside the
 # binary — reaching these greps means both kernels answered every smoke
 # instance within (1+ε)·OPT under the delay bound.
-grep -q '"schema": "krsp-bench-kernels/v1"' "$smoke_out"
+grep -q '"schema": "krsp-bench-kernels/v2"' "$smoke_out"
 grep -q '"bench": "solve_batch"' "$smoke_out"
 grep -q '"variant": "classic"' "$smoke_out"
 grep -q '"variant": "interval"' "$smoke_out"
-grep -q '"bench": "rsp_kernel(classic/interval)"' "$smoke_out"
-# The bellman_ford(cycle) rows race the early-exit engine against the
-# textbook n-round run (krsp_flow::reference) and assert in-binary that both
-# variants found the residual graph's negative cycle; the min_cost_flow rows
-# race the Dijkstra min-cost flow against the Bellman–Ford-per-augmentation
-# oracle and assert that both reached the same total weight.
+grep -q '"ratio": "classic/interval"' "$smoke_out"
+# The bellman_ford(cycle) rows race pass 1's cycle search on packed i64 keys
+# against its Lex2 run and assert in-binary that both returned the same
+# cycle; the min_cost_flow rows race the Dijkstra min-cost flow against the
+# Bellman–Ford-per-augmentation oracle and assert that both reached the same
+# total weight, and the min_cost_flow(packed) rows race it on packed keys
+# against its Lex2 run and assert that both returned the same edges.
 grep -q '"bench": "bellman_ford(cycle)"' "$smoke_out"
 grep -q '"bench": "min_cost_flow"' "$smoke_out"
+grep -q '"bench": "min_cost_flow(packed)"' "$smoke_out"
+grep -q '"ratio": "lex2/packed"' "$smoke_out"
 rm -f "$smoke_out"
 
 echo "== experiments all (every paper claim: T1 bifactor, T2 pairing, F3 Lemma 12, F5 cost cap, ...)"
