@@ -6,8 +6,8 @@
 //!   cargo run -p krsp-bench --release --bin kernels -- --smoke   # CI smoke
 //!   cargo run -p krsp-bench --release --bin kernels -- --out X.json
 //!
-//! Measures the flat budgeted-DP kernel (`krsp_flow::csp`) against the
-//! preserved pre-rewrite implementation (`krsp_flow::reference`) on the
+//! Measures the sparse budgeted-DP kernel (`krsp_flow::csp`) against the
+//! preserved dense 2-D implementation (`krsp_flow::reference`) on the
 //! same instances, pass 1's Bellman–Ford cycle search and the min-cost flow
 //! on packed `i64` keys against their `Lex2` runs, the Dijkstra min-cost
 //! flow against the Bellman–Ford-per-augmentation one, and the end-to-end
@@ -18,17 +18,19 @@
 //! [`krsp::solve_batch`] windows of 1/8/64 vs unbatched `solve` calls —
 //! the amortization curve is `per_iter_ms` falling as the batch size
 //! grows. The `rsp_kernel` family (EXPERIMENTS.md T13) races the pluggable
-//! RSP kernels — `classic` (flat FPTAS) vs `interval` (interval-scaling
-//! FPTAS) — at ε = 1/16; their paths may legitimately differ, so instead
-//! of checksum equality both variants are cross-validated in-binary
-//! against the exact DP (`cost ≤ (1+ε)·OPT`, `delay ≤ D`).
+//! RSP kernels — `classic` (Lorenz–Raz FPTAS) vs `interval` (interval-scaling
+//! FPTAS) — at ε = 1/16 on the grid and at ε = 1, the service's setting, on
+//! a set of `rsp_cold`-shaped instances; their paths may legitimately
+//! differ, so instead of checksum equality both variants are
+//! cross-validated in-binary against the exact DP (`cost ≤ (1+ε)·OPT`,
+//! `delay ≤ D`).
 //! Everything is pinned — fixed seeds, fixed workload grid, fixed
 //! iteration counts — so two runs on the same machine measure the same
 //! work and the JSON can be compared commit to commit. Every row runs
 //! [`TRIALS`] timed trials and reports the median per-iteration time with
-//! its interquartile range; an A/B pair alternates its two variants' trials,
-//! so drift in the host's speed lands on both, and its speedup is the ratio
-//! of the medians. The report records the host (`nproc`, os, arch) so
+//! its interquartile range; every axis (an A/B pair, the kernel, threads
+//! and batch axes) alternates its variants' trials, so drift in the host's
+//! speed lands on all of them, and a speedup is the ratio of the medians. The report records the host (`nproc`, os, arch) so
 //! committed numbers carry their context, and emits no threads-axis row
 //! wider than `nproc`.
 //!
@@ -61,8 +63,8 @@ struct Measurement {
     bench: String,
     /// Instance/configuration label.
     config: String,
-    /// `flat` (current) vs `reference` (pre-rewrite), `packed` vs `lex2`,
-    /// or a point on a kernel, threads or batch axis.
+    /// `sparse` or `flat` (current) vs `reference` (pre-rewrite), `packed`
+    /// vs `lex2`, or a point on a kernel, threads or batch axis.
     variant: String,
     /// Iterations per trial.
     iters: u64,
@@ -182,7 +184,7 @@ impl Harness {
         });
     }
 
-    /// One variant's row: its trials back to back.
+    /// One variant's row.
     fn record(
         &mut self,
         bench: &str,
@@ -191,15 +193,46 @@ impl Harness {
         iters: u64,
         mut f: impl FnMut() -> i64,
     ) {
-        let iters = self.iters(iters);
-        let runs: Vec<_> = (0..self.trials())
-            .map(|_| time_per_iter(iters, &mut f))
-            .collect();
-        self.push(bench, config, variant, iters, &runs);
+        self.axis(bench, config, iters, &[variant], |_| f());
     }
 
-    /// A/B pair: alternates the two variants' trials, asserts that their
-    /// checksums agree, and records the speedup `b/a`.
+    /// A variant axis on one (bench, config): `run(i)` runs `variants[i]`
+    /// once. The variants' trials alternate round-robin, so drift in the
+    /// host's speed lands on every variant, not on whichever ran last.
+    fn axis(
+        &mut self,
+        bench: &str,
+        config: &str,
+        iters: u64,
+        variants: &[&str],
+        mut run: impl FnMut(usize) -> i64,
+    ) {
+        let iters = self.iters(iters);
+        let mut runs: Vec<Vec<(f64, i64)>> = vec![Vec::new(); variants.len()];
+        for _ in 0..self.trials() {
+            for (i, trials) in runs.iter_mut().enumerate() {
+                trials.push(time_per_iter(iters, || run(i)));
+            }
+        }
+        for (variant, trials) in variants.iter().zip(&runs) {
+            self.push(bench, config, variant, iters, trials);
+        }
+    }
+
+    /// Asserts that the last `rows` rows, one axis, share one checksum.
+    fn agree(&self, bench: &str, config: &str, rows: usize) {
+        let axis = &self.results[self.results.len() - rows..];
+        for m in axis {
+            assert_eq!(
+                m.checksum, axis[0].checksum,
+                "{bench}/{config}: {} disagrees with {}",
+                m.variant, axis[0].variant
+            );
+        }
+    }
+
+    /// A/B pair: a two-variant axis whose checksums must agree; records
+    /// the speedup `b/a`.
     fn ab(
         &mut self,
         bench: &str,
@@ -208,15 +241,14 @@ impl Harness {
         (a, mut fa): (&str, impl FnMut() -> i64),
         (b, mut fb): (&str, impl FnMut() -> i64),
     ) {
-        let iters = self.iters(iters);
-        let (mut ra, mut rb) = (Vec::new(), Vec::new());
-        for _ in 0..self.trials() {
-            ra.push(time_per_iter(iters, &mut fa));
-            rb.push(time_per_iter(iters, &mut fb));
-        }
-        self.push(bench, config, a, iters, &ra);
-        self.push(bench, config, b, iters, &rb);
-        assert_eq!(ra[0].1, rb[0].1, "{bench}/{config}: {a} and {b} disagree");
+        self.axis(bench, config, iters, &[a, b], |i| {
+            if i == 0 {
+                fa()
+            } else {
+                fb()
+            }
+        });
+        self.agree(bench, config, 2);
         self.speedup(bench, config, b, a);
     }
 
@@ -343,7 +375,7 @@ fn main() {
     let grid = grid(smoke);
     assert!(!grid.is_empty(), "workload grid produced no instances");
 
-    // --- budget_dp (exact DP) and rsp_fptas: flat vs reference ----------
+    // --- budget_dp (exact DP) and rsp_fptas: sparse vs reference --------
     let mut dp = DpScratch::new();
     for (label, inst) in &grid {
         let g = &inst.graph;
@@ -353,7 +385,7 @@ fn main() {
             "budget_dp",
             label,
             15,
-            ("flat", || {
+            ("sparse", || {
                 fingerprint(constrained_shortest_path_with(g, s, t, d, &mut dp).as_ref())
             }),
             ("reference", || {
@@ -364,7 +396,7 @@ fn main() {
             "rsp_fptas",
             label,
             15,
-            ("flat", || {
+            ("sparse", || {
                 fingerprint(rsp_fptas_with(g, s, t, d, 1, 4, &mut dp).as_ref())
             }),
             ("reference", || {
@@ -381,53 +413,96 @@ fn main() {
     // differ (each certifies its own answer), so the variants are NOT
     // checksum-compared; instead every kernel's answer is cross-validated
     // against the exact DP: feasibility must agree, `delay ≤ D`, and
-    // `cost ≤ (1+ε)·OPT`. ε = 1/16 is the small-ε regime the interval
-    // scheme targets.
-    let (eps_num, eps_den) = (1u32, 16u32);
-    for (label, inst) in &grid {
-        let g = &inst.graph;
-        let (s, t) = (inst.s, inst.t);
-        let d = inst.delay_bound;
-        let exact = constrained_shortest_path_with(g, s, t, d, &mut dp);
-        for kind in KERNEL_KINDS {
-            h.record("rsp_kernel", label, kind.as_str(), 15, || {
-                fingerprint(
+    // `cost ≤ (1+ε)·OPT`. Two regimes: ε = 1/16, the small-ε regime the
+    // interval scheme targets, on each grid instance; and ε = 1, what the
+    // service's `k = 1` arm runs, on a set of `rsp_cold`-shaped instances
+    // (gnm, n = 240, anticorrelated, tightness 0.5), each iteration solving
+    // the whole set.
+    let rsp_cold: Vec<Instance> = (0..if smoke { 2 } else { 16 })
+        .filter_map(|j| {
+            standard_workload(Family::Gnm, 240, 1, Regime::Anticorrelated, 0.5, 23_000 + j)
+        })
+        .collect();
+    assert!(!rsp_cold.is_empty(), "rsp_cold set produced no instances");
+    let kernel_rows = grid
+        .iter()
+        .map(|(label, inst)| (label.clone(), std::slice::from_ref(inst), (1u32, 16u32), 15))
+        .chain([(
+            "rsp_cold_gnm_n240_eps1".to_string(),
+            &rsp_cold[..],
+            (1, 1),
+            10,
+        )]);
+    let kinds = KERNEL_KINDS.map(|kind| kind.as_str());
+    for (label, insts, (eps_num, eps_den), iters) in kernel_rows {
+        let solve_all = |kind, dp: &mut DpScratch| {
+            insts
+                .iter()
+                .map(|inst| {
                     kernel(kind)
-                        .solve_with(g, s, t, d, eps_num, eps_den, &mut dp)
-                        .expect("1/16 is a valid epsilon")
-                        .as_ref(),
+                        .solve_with(
+                            &inst.graph,
+                            inst.s,
+                            inst.t,
+                            inst.delay_bound,
+                            eps_num,
+                            eps_den,
+                            dp,
+                        )
+                        .expect("a positive epsilon is valid")
+                })
+                .collect::<Vec<_>>()
+        };
+        let exact: Vec<_> = insts
+            .iter()
+            .map(|inst| {
+                constrained_shortest_path_with(
+                    &inst.graph,
+                    inst.s,
+                    inst.t,
+                    inst.delay_bound,
+                    &mut dp,
                 )
-            });
-            let got = kernel(kind)
-                .solve_with(g, s, t, d, eps_num, eps_den, &mut dp)
-                .expect("1/16 is a valid epsilon");
-            match (&exact, &got) {
-                (Some(opt), Some(p)) => {
-                    assert!(
-                        p.delay <= d,
-                        "rsp_kernel/{label}/{kind}: delay {} > bound {d}",
-                        p.delay
-                    );
-                    assert!(
-                        i128::from(p.cost) * i128::from(eps_den)
-                            <= i128::from(opt.cost) * i128::from(eps_den + eps_num),
-                        "rsp_kernel/{label}/{kind}: cost {} > (1+ε)·OPT (OPT = {})",
-                        p.cost,
-                        opt.cost
-                    );
+            })
+            .collect();
+        for kind in KERNEL_KINDS {
+            for ((inst, opt), got) in insts.iter().zip(&exact).zip(solve_all(kind, &mut dp)) {
+                let d = inst.delay_bound;
+                match (opt, &got) {
+                    (Some(opt), Some(p)) => {
+                        assert!(
+                            p.delay <= d,
+                            "rsp_kernel/{label}/{kind}: delay {} > bound {d}",
+                            p.delay
+                        );
+                        assert!(
+                            i128::from(p.cost) * i128::from(eps_den)
+                                <= i128::from(opt.cost) * i128::from(eps_den + eps_num),
+                            "rsp_kernel/{label}/{kind}: cost {} > (1+ε)·OPT (OPT = {})",
+                            p.cost,
+                            opt.cost
+                        );
+                    }
+                    (None, None) => {}
+                    _ => panic!(
+                        "rsp_kernel/{label}/{kind}: feasibility disagrees with the exact DP \
+                         (exact = {}, kernel = {})",
+                        opt.is_some(),
+                        got.is_some()
+                    ),
                 }
-                (None, None) => {}
-                _ => panic!(
-                    "rsp_kernel/{label}/{kind}: feasibility disagrees with the exact DP \
-                     (exact = {}, kernel = {})",
-                    exact.is_some(),
-                    got.is_some()
-                ),
             }
         }
-        // > 1.0 means the interval kernel's narrow final sweep pays at
-        // ε = 1/16.
-        h.speedup("rsp_kernel", label, "classic", "interval");
+        h.axis("rsp_kernel", &label, iters, &kinds, |i| {
+            solve_all(KERNEL_KINDS[i], &mut dp)
+                .iter()
+                .fold(0i64, |acc, p| {
+                    acc.wrapping_mul(1_000_003)
+                        .wrapping_add(fingerprint(p.as_ref()))
+                })
+        });
+        // > 1.0 means the interval kernel's narrow final sweep pays.
+        h.speedup("rsp_kernel", &label, "classic", "interval");
     }
 
     // --- bellman_ford(cycle): pass 1 on packed keys vs on Lex2 ----------
@@ -540,7 +615,9 @@ fn main() {
     // not the scan.
     let host = Host::detect();
     let widths: Vec<usize> = [1, 2, 4].into_iter().filter(|&w| w <= host.nproc).collect();
-    let widest = format!("threads{}", widths.last().expect("width 1 always runs"));
+    let width_names: Vec<String> = widths.iter().map(|w| format!("threads{w}")).collect();
+    let width_names: Vec<&str> = width_names.iter().map(String::as_str).collect();
+    let widest = width_names.last().expect("width 1 always runs").to_string();
     for (label, inst) in &grid {
         let Some(base) = baselines::min_delay(inst) else {
             continue;
@@ -560,32 +637,18 @@ fn main() {
             enforce_cost_cap: true,
             scc_prune: true,
         };
-        for &width in &widths {
-            krsp::set_solver_width(width);
-            h.record(
-                "bicameral_search",
-                label,
-                &format!("threads{width}"),
-                20,
-                || {
-                    seed_scan_only(&residual, &ctx).map_or(-1, |cyc| {
-                        cyc.edges.iter().fold(
-                            cyc.cost.wrapping_mul(31).wrapping_add(cyc.delay),
-                            |acc, e| acc.wrapping_mul(131).wrapping_add(e.index() as i64),
-                        )
-                    })
-                },
-            );
-        }
+        h.axis("bicameral_search", label, 20, &width_names, |i| {
+            // A plain store: the scan reads the width when it starts.
+            krsp::set_solver_width(widths[i]);
+            seed_scan_only(&residual, &ctx).map_or(-1, |cyc| {
+                cyc.edges.iter().fold(
+                    cyc.cost.wrapping_mul(31).wrapping_add(cyc.delay),
+                    |acc, e| acc.wrapping_mul(131).wrapping_add(e.index() as i64),
+                )
+            })
+        });
         krsp::set_solver_width(0);
-        let k = h.results.len();
-        let base_ck = h.results[k - widths.len()].checksum;
-        for m in &h.results[k - widths.len()..] {
-            assert_eq!(
-                m.checksum, base_ck,
-                "bicameral_search/{label}: width variants disagree"
-            );
-        }
+        h.agree("bicameral_search", label, widths.len());
         // The parallel gain; absent on a single-core host.
         if widths.len() > 1 {
             h.speedup("bicameral_search", label, "threads1", &widest);
@@ -618,7 +681,11 @@ fn main() {
     let batch_sizes: &[usize] = if smoke { &[1, 8] } else { &[1, 8, 64] };
     // Per-query cost unbatched over the widest batch: > 1.0 means batching
     // pays; the committed full-mode numbers are the T12 acceptance curve.
-    let widest_batch = format!("batch{}", batch_sizes.last().expect("batch axis nonempty"));
+    let batch_names: Vec<String> = std::iter::once("unbatched".to_string())
+        .chain(batch_sizes.iter().map(|b| format!("batch{b}")))
+        .collect();
+    let batch_names: Vec<&str> = batch_names.iter().map(String::as_str).collect();
+    let widest_batch = batch_names.last().expect("batch axis nonempty").to_string();
     for (label, inst) in &grid {
         let g = &inst.graph;
         let d = inst.delay_bound;
@@ -634,36 +701,25 @@ fn main() {
                 delay_bound: (d - (j as i64 % 5)).max(0),
             })
             .collect();
-        h.record("csp_batch", label, "unbatched", 5, || {
-            queries.iter().fold(0i64, |acc, q| {
-                let p = constrained_shortest_path_with(g, q.s, q.t, q.delay_bound, &mut dp);
-                acc.wrapping_mul(1_000_003)
-                    .wrapping_add(fingerprint(p.as_ref()))
+        h.axis("csp_batch", label, 5, &batch_names, |i| {
+            if i == 0 {
+                return queries.iter().fold(0i64, |acc, q| {
+                    let p = constrained_shortest_path_with(g, q.s, q.t, q.delay_bound, &mut dp);
+                    acc.wrapping_mul(1_000_003)
+                        .wrapping_add(fingerprint(p.as_ref()))
+                });
+            }
+            queries.chunks(batch_sizes[i - 1]).fold(0i64, |acc, block| {
+                let digest = TopoDigest::delay_cost(g, d);
+                constrained_shortest_paths_digested(g, &digest, block, &mut dp)
+                    .iter()
+                    .fold(acc, |acc, p| {
+                        acc.wrapping_mul(1_000_003)
+                            .wrapping_add(fingerprint(p.as_ref()))
+                    })
             })
         });
-        for &batch in batch_sizes {
-            h.record("csp_batch", label, &format!("batch{batch}"), 5, || {
-                queries.chunks(batch).fold(0i64, |acc, block| {
-                    let digest = TopoDigest::delay_cost(g, d);
-                    constrained_shortest_paths_digested(g, &digest, block, &mut dp)
-                        .iter()
-                        .fold(acc, |acc, p| {
-                            acc.wrapping_mul(1_000_003)
-                                .wrapping_add(fingerprint(p.as_ref()))
-                        })
-                })
-            });
-        }
-        let k = h.results.len();
-        let rows = 1 + batch_sizes.len();
-        let base_ck = h.results[k - rows].checksum;
-        for m in &h.results[k - rows..] {
-            assert_eq!(
-                m.checksum, base_ck,
-                "csp_batch/{label}: {} disagrees with unbatched",
-                m.variant
-            );
-        }
+        h.agree("csp_batch", label, batch_names.len());
         h.speedup("csp_batch", label, "unbatched", &widest_batch);
     }
 
@@ -695,37 +751,26 @@ fn main() {
             let v = r.map_or(-1, |(c, dl)| c.wrapping_mul(31).wrapping_add(dl));
             acc.wrapping_mul(1_000_003).wrapping_add(v)
         };
-        h.record("solve_batch", label, "unbatched", 2, || {
-            insts.iter().fold(0i64, |acc, i| {
-                let r = solve(i, &cfg)
-                    .map(|out| (out.solution.cost, out.solution.delay))
-                    .map_err(|_| ());
-                fold(acc, r)
+        h.axis("solve_batch", label, 2, &batch_names, |i| {
+            if i == 0 {
+                return insts.iter().fold(0i64, |acc, inst| {
+                    let r = solve(inst, &cfg)
+                        .map(|out| (out.solution.cost, out.solution.delay))
+                        .map_err(|_| ());
+                    fold(acc, r)
+                });
+            }
+            insts.chunks(batch_sizes[i - 1]).fold(0i64, |acc, window| {
+                solve_batch(window, &cfg).iter().fold(acc, |acc, r| {
+                    let r = r
+                        .as_ref()
+                        .map(|out| (out.solution.cost, out.solution.delay))
+                        .map_err(|_| ());
+                    fold(acc, r)
+                })
             })
         });
-        for &batch in batch_sizes {
-            h.record("solve_batch", label, &format!("batch{batch}"), 2, || {
-                insts.chunks(batch).fold(0i64, |acc, window| {
-                    solve_batch(window, &cfg).iter().fold(acc, |acc, r| {
-                        let r = r
-                            .as_ref()
-                            .map(|out| (out.solution.cost, out.solution.delay))
-                            .map_err(|_| ());
-                        fold(acc, r)
-                    })
-                })
-            });
-        }
-        let k = h.results.len();
-        let rows = 1 + batch_sizes.len();
-        let base_ck = h.results[k - rows].checksum;
-        for m in &h.results[k - rows..] {
-            assert_eq!(
-                m.checksum, base_ck,
-                "solve_batch/{label}: {} disagrees with unbatched solves",
-                m.variant
-            );
-        }
+        h.agree("solve_batch", label, batch_names.len());
         h.speedup("solve_batch", label, "unbatched", &widest_batch);
     }
 

@@ -79,7 +79,8 @@ pub use bicameral::{BSearch, CycleKind, Engine, SearchScratch};
 pub use instance::{Instance, InstanceError};
 pub use krsp_flow::CancelToken;
 pub use krsp_flow::{
-    kernel as rsp_kernel, DpScratch, KernelError, KernelKind, RspKernel, KERNEL_KINDS,
+    constrained_shortest_path, kernel as rsp_kernel, DpScratch, KernelError, KernelKind, RspKernel,
+    KERNEL_KINDS,
 };
 pub use phase1::Phase1Backend;
 pub use scaling::{solve_scaled, Eps, ScaledSolved};

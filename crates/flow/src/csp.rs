@@ -8,46 +8,70 @@
 //!
 //! Both are used as the `k = 1` baseline (`greedy_rsp` runs them per path).
 //!
-//! ## The flat kernel
+//! ## The sparse kernel
 //!
 //! The budgeted DP is the solver's hottest loop: the FPTAS re-runs it for
 //! every probe of its geometric bisection, and every caller above (greedy
-//! RSP, the service ladder) re-runs the FPTAS. The kernel therefore avoids
-//! all steady-state allocation and indirection (DESIGN.md §4.12):
+//! RSP, the service ladder) re-runs the FPTAS. `value[b][v]`, the minimum
+//! objective over `s→v` walks with budget at most `b`, is computed level by
+//! level, bottom-up, but only where it changes (DESIGN.md §4.12):
 //!
-//! * the value table is one flat row-major `i64` buffer (`i64::MAX` =
-//!   unreachable), not a `Vec<Vec<Option<i64>>>`; level carry-over is a
-//!   `memcpy`, not an `Option` clone;
-//! * parents are two compact `u32` arrays (edge id + previous level);
+//! * a *label* is written only where a node's value strictly falls: the
+//!   level, the value, the parent edge and parent level, and a link to the
+//!   node's previous label. No `levels × n` table exists; reading
+//!   `value[b][v]` or recovering a path walks a node's (short) label list;
 //! * the weight accessors are generic `impl Fn` parameters, monomorphized
-//!   at each call site — no `&dyn Fn` dispatch per edge relaxation — and
-//!   evaluated once per edge up front, not once per (level, edge);
-//! * edges are bucketed by budget value once per run: positive-budget edges
-//!   live in a flat array (edges whose budget exceeds the bound are dropped
-//!   entirely), zero-budget edges in a per-node CSR, so the within-level
-//!   Dijkstra pass is skipped outright when no zero-budget edge exists and
-//!   otherwise seeds its heap only with nodes that can propagate;
+//!   at each call site, and evaluated once per edge up front;
+//! * edges are bucketed by tail once per run into two CSRs, positive
+//!   budgets (edges whose budget exceeds the bound are dropped) and zero
+//!   budgets;
 //! * every buffer lives in a caller-owned [`DpScratch`], so the bisection
 //!   loop — and repeated solves above it — reuse one allocation (the
 //!   service's `k = 1` ladder arm keeps one per worker thread).
 //!
-//! ## One sweep, stopped early where an answer is all that is asked
+//! ## One sweep
 //!
-//! Every DP run goes through one sweep, `dp_sweep`, parameterized by a
-//! monomorphized stop predicate over the row just computed. The exact DP
-//! and the batch plane pass one that never fires (it compiles away); every
-//! FPTAS probe — the classic shrink tests and final DP, the interval
-//! tests — stops at the first level whose value at `t` is within the delay
-//! bound. Level `b` depends only on levels `≤ b`, so that level and the
-//! parent chain behind it are exactly what a full sweep plus a bottom-up
-//! scan finds: stopping changes no answer. Table rows are materialized
-//! only as their levels are computed (the carry-over copy *is* the row's
-//! initialization), so a stopped sweep never touches the rows above its
-//! answer.
+//! Every DP run goes through one sweep, `dp_sweep`. When node `u` gets a
+//! label at level `L`, each positive out-edge `(u→v, w)` with `L + w` inside
+//! the bound pushes one *candidate* for `v` to level `L + w`, unless it does
+//! not beat `v`'s current value. Candidates wait in a ring of buckets
+//! indexed by level modulo (largest bucketed budget + 1). One level then:
 //!
-//! The pre-rewrite kernel is preserved in [`crate::reference`] and the test
-//! suite pins this one to it bit-for-bit (values, tie-breaking, recovered
-//! paths).
+//! 1. applies its candidates: among those below `v`'s carried value, the
+//!    smallest `(value, edge id)` wins;
+//! 2. runs the zero-budget Dijkstra pass seeded only with the nodes
+//!    labelled at this level (strict `<`, smallest value first);
+//! 3. asks the stop predicate about the row (the exact DP and the batch
+//!    plane pass one that never fires; every FPTAS probe stops at the first
+//!    level whose value at `t` is within the delay bound);
+//! 4. pushes the new labels' out-edges.
+//!
+//! A sweep with nothing pending ends as exhausted without walking the
+//! levels left: no value can change any more. Level `b` depends only on
+//! levels `≤ b`, so a stopped sweep's labels are exactly a full sweep's up
+//! to its level.
+//!
+//! ## Why the sparse sweep answers exactly as the dense one
+//!
+//! The dense DP ([`crate::reference`]) carries each row over from the last,
+//! scans every positive edge in edge-id order keeping the first strict
+//! minimum, then runs the zero pass seeded with every reachable node. Two
+//! facts make the sparse sweep take the same decisions:
+//!
+//! * a source whose value did not change at `b − w` offers at `b` the same
+//!   candidate it offered at `b − 1`, and that candidate cannot beat the
+//!   carried value (the level `b − 1` row is at most every candidate it
+//!   saw; a source reachable at level 0 is labelled there). So the dense
+//!   scan's first strict minimum in edge-id order is the `(value, id)`
+//!   minimum among the pushed candidates below the carried value;
+//! * after a level's zero pass the row is closed under zero-budget edges,
+//!   so a node left unchanged cannot improve anything in the next zero
+//!   pass: it settles without a strict relaxation, and the changed nodes
+//!   settle in the same `(value, node)` order with or without it.
+//!
+//! Values, parents and recovered paths are therefore bit-identical to the
+//! dense DP, and the test suite pins them to [`crate::reference`] level by
+//! level, node by node.
 
 use crate::cancel::CancelToken;
 use crate::dijkstra::dijkstra;
@@ -75,27 +99,27 @@ impl CspPath {
     }
 }
 
-/// "Unreachable" sentinel in the flat value table.
+/// "Unreachable" value sentinel.
 const UNREACHED: i64 = i64::MAX;
-/// "No parent" sentinel in the flat parent table.
+/// "No parent" edge sentinel (the source's level-0 label).
 const NO_PARENT: u32 = u32::MAX;
+/// "No label" link sentinel.
+const NO_LABEL: u32 = u32::MAX;
 
-/// A positive-budget edge, predigested for the relaxation loop.
+/// A positive-budget edge in the per-tail CSR.
 #[derive(Clone, Copy)]
 struct PosEdge {
-    /// Budget value (`≥ 1`, `≤ bound`).
-    budget: u32,
-    /// Tail node index.
-    src: u32,
-    /// Head node index.
-    dst: u32,
     /// Objective value.
     obj: i64,
-    /// Original edge id (for parents).
+    /// Budget value (`≥ 1`, `≤ bound`).
+    budget: u32,
+    /// Head node index.
+    dst: u32,
+    /// Original edge id (for parents and ties).
     id: u32,
 }
 
-/// A zero-budget edge in the per-node CSR.
+/// A zero-budget edge in the per-tail CSR.
 #[derive(Clone, Copy)]
 struct ZeroEdge {
     /// Head node index.
@@ -106,44 +130,116 @@ struct ZeroEdge {
     id: u32,
 }
 
+/// Where a node's value strictly fell: one entry of its label list.
+#[derive(Clone, Copy)]
+struct Label {
+    /// The node's value from `level` on (until its next label).
+    value: i64,
+    /// The level the value fell at.
+    level: u32,
+    /// Parent edge id; `NO_PARENT` for the source's level-0 label.
+    par_edge: u32,
+    /// Level of the parent edge's tail label.
+    par_level: u32,
+    /// The node's previous (lower-level) label; `NO_LABEL` = none.
+    prev: u32,
+}
+
+/// A pending candidate: edge `id` offers `value` to `dst` at the level its
+/// ring bucket stands for, from its tail's label at level `from`.
+#[derive(Clone, Copy)]
+struct Cand {
+    value: i64,
+    dst: u32,
+    id: u32,
+    from: u32,
+}
+
+/// The edge buckets one sweep relaxes over: positive-budget edges with
+/// budget ≤ bound and zero-budget edges, each as a per-tail CSR in
+/// out-edge order. Owned by a [`DpScratch`] (rebuilt per run) or by a
+/// [`TopoDigest`] (built once per topology).
+#[derive(Clone, Default)]
+struct EdgeBuckets {
+    /// Positive-budget out-edges, CSR payload.
+    pos: Vec<PosEdge>,
+    /// Node `v`'s positive-budget out-edges are
+    /// `pos[pos_start[v]..pos_start[v+1]]`.
+    pos_start: Vec<u32>,
+    /// Zero-budget out-edges, CSR payload.
+    zero: Vec<ZeroEdge>,
+    /// CSR offsets over `zero`.
+    zero_start: Vec<u32>,
+    /// Largest budget in `pos` (0 when it is empty): sizes the ring.
+    max_budget: u32,
+}
+
+impl EdgeBuckets {
+    fn pos_of(&self, v: usize) -> &[PosEdge] {
+        &self.pos[self.pos_start[v] as usize..self.pos_start[v + 1] as usize]
+    }
+
+    fn zero_of(&self, v: usize) -> &[ZeroEdge] {
+        &self.zero[self.zero_start[v] as usize..self.zero_start[v + 1] as usize]
+    }
+
+    /// True when node `v` has at least one outgoing zero-budget edge.
+    #[inline]
+    fn zero_tail(&self, v: u32) -> bool {
+        self.zero_start[v as usize] < self.zero_start[v as usize + 1]
+    }
+
+    fn bytes(&self) -> usize {
+        self.pos.capacity() * std::mem::size_of::<PosEdge>()
+            + self.zero.capacity() * std::mem::size_of::<ZeroEdge>()
+            + (self.pos_start.capacity() + self.zero_start.capacity()) * std::mem::size_of::<u32>()
+    }
+}
+
+/// The labels and working buffers of one sweep.
+#[derive(Default)]
+struct Sweep {
+    /// Every label written, in level order.
+    labels: Vec<Label>,
+    /// Newest label per node; `NO_LABEL` = unreachable so far.
+    head: Vec<u32>,
+    /// Value per node at the level being computed (`UNREACHED` = none).
+    cur: Vec<i64>,
+    /// Nodes labelled at the level being computed.
+    fresh: Vec<u32>,
+    /// Pending candidates, bucketed by target level modulo `ring.len()`
+    /// (only the first `ring_len` buckets of a run are live).
+    ring: Vec<Vec<Cand>>,
+    /// Zero-pass heap, reused across levels.
+    heap: BinaryHeap<Reverse<(i64, u32)>>,
+    /// Settled stamps for the zero pass (`== gen` means settled).
+    settled: Vec<u64>,
+    /// Current settle generation.
+    gen: u64,
+    /// Level count (`bound + 1`) of the last run.
+    levels: usize,
+    /// Levels the last run walked before it stopped or ran dry.
+    swept: usize,
+}
+
 /// Caller-owned scratch arena for the budgeted DP.
 ///
-/// Holds the flat value/parent tables, the edge buckets, and the
-/// within-level heap. Create one per solving context and thread it through
+/// Holds the labels, the pending-candidate ring, the edge buckets and the
+/// zero-pass heap. Create one per solving context and thread it through
 /// repeated [`constrained_shortest_path_with`] / [`rsp_fptas_with`] calls:
 /// after warm-up, the kernel allocates nothing. A single scratch adapts to
 /// any graph/bound size (buffers grow monotonically, capacity is retained;
 /// see [`DpScratch::table_bytes`] for what that retains).
 #[derive(Default)]
 pub struct DpScratch {
-    /// Flat value table, row-major by level: one `n`-wide row per level
-    /// computed so far (at most `bound+1`).
-    value: Vec<i64>,
-    /// Parent edge id per `(level, node)`; `NO_PARENT` = none.
-    par_edge: Vec<u32>,
-    /// Parent level per `(level, node)` (meaningful iff `par_edge` set).
-    par_level: Vec<u32>,
-    /// Positive-budget edges with budget ≤ bound, in edge-id order.
-    pos: Vec<PosEdge>,
-    /// Zero-budget out-edges, CSR payload (tail-node grouped).
-    zero: Vec<ZeroEdge>,
-    /// CSR offsets: node `v`'s zero-budget out-edges are
-    /// `zero[zero_start[v]..zero_start[v+1]]`.
-    zero_start: Vec<u32>,
+    /// This scratch's own buckets (single-query path).
+    buckets: EdgeBuckets,
     /// Per-edge budget cache (one accessor call per edge per run).
     ebud: Vec<i64>,
     /// Per-edge objective cache.
     eobj: Vec<i64>,
-    /// Within-level Dijkstra heap, reused across levels.
-    heap: BinaryHeap<Reverse<(i64, u32)>>,
-    /// Settled stamps for the within-level pass (`== gen` means settled).
-    settled: Vec<u64>,
-    /// Current settle generation.
-    gen: u64,
-    /// Node count of the last run.
-    n: usize,
-    /// Level count (`bound + 1`) of the last run.
-    levels: usize,
+    /// The last run's labels and working buffers.
+    sweep: Sweep,
     /// Cooperative-cancellation token polled between DP levels. Defaults
     /// to [`CancelToken::never`]; riding in the scratch keeps the hot-path
     /// signatures stable.
@@ -169,106 +265,142 @@ impl DpScratch {
         &self.cancel
     }
 
-    /// Bytes of capacity the value and parent tables retain. They grow
-    /// with the largest `levels × n` any run has computed, so a long-lived
-    /// arena can use this to drop tables one outsized solve left behind.
+    /// Bytes of capacity the arena retains: labels, the candidate ring,
+    /// the edge buckets and the per-node and per-edge buffers. Labels grow
+    /// with the most value drops any run has made and the ring with the
+    /// largest budget bound, so a long-lived arena can use this to drop
+    /// buffers one outsized solve left behind.
     #[must_use]
     pub fn table_bytes(&self) -> usize {
-        self.value.capacity() * std::mem::size_of::<i64>()
-            + (self.par_edge.capacity() + self.par_level.capacity()) * std::mem::size_of::<u32>()
+        let sw = &self.sweep;
+        let ring = sw.ring.capacity() * std::mem::size_of::<Vec<Cand>>()
+            + sw.ring.iter().map(Vec::capacity).sum::<usize>() * std::mem::size_of::<Cand>();
+        sw.labels.capacity() * std::mem::size_of::<Label>()
+            + ring
+            + self.buckets.bytes()
+            + (self.ebud.capacity() + self.eobj.capacity() + sw.cur.capacity())
+                * std::mem::size_of::<i64>()
+            + (sw.head.capacity() + sw.fresh.capacity()) * std::mem::size_of::<u32>()
+            + sw.settled.capacity() * std::mem::size_of::<u64>()
+            + sw.heap.capacity() * std::mem::size_of::<Reverse<(i64, u32)>>()
     }
 
     #[inline]
     fn value_at(&self, b: usize, v: NodeId) -> i64 {
-        self.value[b * self.n + v.index()]
+        self.sweep
+            .label_at(v.index(), b)
+            .map_or(UNREACHED, |l| l.value)
     }
 }
 
-/// True when node `v` has at least one outgoing zero-budget edge.
-#[inline]
-fn zero_tail(zero_start: &[u32], v: u32) -> bool {
-    zero_start[v as usize] < zero_start[v as usize + 1]
+impl Sweep {
+    /// Node `v`'s label in force at level `b`: its newest one at or below
+    /// `b`.
+    fn label_at(&self, v: usize, b: usize) -> Option<&Label> {
+        let mut i = self.head[v];
+        while i != NO_LABEL {
+            let l = &self.labels[i as usize];
+            if l.level as usize <= b {
+                return Some(l);
+            }
+            i = l.prev;
+        }
+        None
+    }
+
+    /// `v`'s label from the level being computed (the labels from index
+    /// `level_start` on), if its value already fell there.
+    fn fresh_label(&self, v: usize, level_start: usize) -> Option<usize> {
+        let h = self.head[v];
+        (h != NO_LABEL && h as usize >= level_start).then_some(h as usize)
+    }
+
+    /// Lowers `v` to `value` at `level` with the given parent: a new label
+    /// the first time `v` falls at this level, the same label rewritten
+    /// after.
+    fn fall(&mut self, v: u32, value: i64, par: (u32, u32), level: u32, level_start: usize) {
+        let vi = v as usize;
+        self.cur[vi] = value;
+        if let Some(h) = self.fresh_label(vi, level_start) {
+            let l = &mut self.labels[h];
+            (l.value, l.par_edge, l.par_level) = (value, par.0, par.1);
+        } else {
+            self.labels.push(Label {
+                value,
+                level,
+                par_edge: par.0,
+                par_level: par.1,
+                prev: self.head[vi],
+            });
+            self.head[vi] = u32::try_from(self.labels.len() - 1).expect("label count fits u32");
+            self.fresh.push(v);
+        }
+    }
 }
 
-/// Borrowed edge buckets for one DP sweep: either the scratch's own
-/// (single-query path) or a shared [`TopoDigest`]'s (batch path).
-struct Buckets<'a> {
-    /// Positive-budget edges with budget ≤ bound, in edge-id order.
-    pos: &'a [PosEdge],
-    /// Zero-budget out-edges, CSR payload (tail-node grouped).
-    zero: &'a [ZeroEdge],
-    /// CSR offsets over `zero`.
-    zero_start: &'a [u32],
-}
-
-/// Destination buffers for [`digest_buckets`]: either a scratch arena's
-/// fields (single-query path) or a fresh [`TopoDigest`]'s vectors (batch
-/// path). Bundled so both call sites lend the same shape.
+/// Destination buffers for [`digest_buckets`]: the per-edge caches and the
+/// buckets to fill. Bundled so both call sites lend the same shape.
 struct BucketBufs<'a> {
     ebud: &'a mut Vec<i64>,
     eobj: &'a mut Vec<i64>,
-    pos: &'a mut Vec<PosEdge>,
-    zero: &'a mut Vec<ZeroEdge>,
-    zero_start: &'a mut Vec<u32>,
+    out: &'a mut EdgeBuckets,
 }
 
 /// Builds the edge buckets the DP sweep relaxes over: one accessor call per
-/// edge (cached in `ebud`/`eobj`), positive-budget edges with budget ≤
-/// `bound` into `pos` in edge-id order, zero-budget edges into a per-node
-/// CSR in out-edge order. Shared by [`budget_dp`] (per-run buckets in the
-/// scratch) and [`TopoDigest::build`] (buckets built once per topology), so
-/// the two paths bucket identically by construction.
+/// edge (cached in `ebud`/`eobj`), then per tail in out-edge order the
+/// positive-budget edges with budget ≤ `bound` into one CSR and the
+/// zero-budget edges into another. Shared by [`budget_dp`] (per-run buckets
+/// in the scratch) and [`TopoDigest::build`] (buckets built once per
+/// topology), so the two paths bucket identically by construction.
 fn digest_buckets(
     graph: &DiGraph,
     bound: usize,
     budget_of: impl Fn(EdgeId) -> i64,
     objective_of: impl Fn(EdgeId) -> i64,
-    out: BucketBufs<'_>,
+    bufs: BucketBufs<'_>,
 ) {
-    let BucketBufs {
-        ebud,
-        eobj,
-        pos,
-        zero,
-        zero_start,
-    } = out;
+    let BucketBufs { ebud, eobj, out } = bufs;
     ebud.clear();
     eobj.clear();
-    pos.clear();
-    for (id, e) in graph.edge_iter() {
+    for (id, _) in graph.edge_iter() {
         let b = budget_of(id);
         let o = objective_of(id);
         assert!(b >= 0, "budgets must be nonnegative");
         assert!(o >= 0, "objectives must be nonnegative");
         ebud.push(b);
         eobj.push(o);
-        if b >= 1 && b <= bound as i64 {
-            pos.push(PosEdge {
-                budget: b as u32,
-                src: e.src.0,
-                dst: e.dst.0,
-                obj: o,
-                id: id.0,
-            });
-        }
     }
-    // Zero-budget CSR, grouped by tail in out-edge order (the order the
-    // reference kernel relaxes them in).
+    let EdgeBuckets {
+        pos,
+        pos_start,
+        zero,
+        zero_start,
+        max_budget,
+    } = out;
+    pos.clear();
+    pos_start.clear();
     zero.clear();
     zero_start.clear();
-    zero_start.reserve(graph.node_count() + 1);
+    *max_budget = 0;
     for v in graph.node_iter() {
+        pos_start.push(pos.len() as u32);
         zero_start.push(zero.len() as u32);
         for &e in graph.out_edges(v) {
-            if ebud[e.index()] == 0 {
-                zero.push(ZeroEdge {
-                    dst: graph.edge(e).dst.0,
-                    obj: eobj[e.index()],
-                    id: e.0,
+            let (b, obj, dst, id) = (ebud[e.index()], eobj[e.index()], graph.edge(e).dst.0, e.0);
+            if b == 0 {
+                zero.push(ZeroEdge { dst, obj, id });
+            } else if b <= bound as i64 {
+                *max_budget = (*max_budget).max(b as u32);
+                pos.push(PosEdge {
+                    obj,
+                    budget: b as u32,
+                    dst,
+                    id,
                 });
             }
         }
     }
+    pos_start.push(pos.len() as u32);
     zero_start.push(zero.len() as u32);
 }
 
@@ -284,14 +416,12 @@ fn digest_buckets(
 /// * the digest must have been built from the *same* graph the query runs
 ///   on (node and edge counts are checked; weights are the builder's
 ///   responsibility — a digest never outlives a graph mutation);
-/// * every query bound must be ≤ the digest's `bound`. The relaxation loop
-///   skips edges whose budget exceeds the current level, and levels are
-///   computed bottom-up, so a sweep truncated at a smaller bound is
-///   bit-identical to a dedicated `budget_dp` run at that bound.
+/// * every query bound must be ≤ the digest's `bound`. A sweep never
+///   pushes a candidate past its own last level, and levels are computed
+///   bottom-up, so a sweep truncated at a smaller bound is bit-identical to
+///   a dedicated `budget_dp` run at that bound.
 pub struct TopoDigest {
-    pos: Vec<PosEdge>,
-    zero: Vec<ZeroEdge>,
-    zero_start: Vec<u32>,
+    buckets: EdgeBuckets,
     n: usize,
     m: usize,
     bound: usize,
@@ -327,25 +457,20 @@ impl TopoDigest {
         budget_of: impl Fn(EdgeId) -> i64,
         objective_of: impl Fn(EdgeId) -> i64,
     ) -> TopoDigest {
-        let (mut ebud, mut eobj) = (Vec::new(), Vec::new());
-        let (mut pos, mut zero, mut zero_start) = (Vec::new(), Vec::new(), Vec::new());
+        let mut buckets = EdgeBuckets::default();
         digest_buckets(
             graph,
             bound,
             budget_of,
             objective_of,
             BucketBufs {
-                ebud: &mut ebud,
-                eobj: &mut eobj,
-                pos: &mut pos,
-                zero: &mut zero,
-                zero_start: &mut zero_start,
+                ebud: &mut Vec::new(),
+                eobj: &mut Vec::new(),
+                out: &mut buckets,
             },
         );
         TopoDigest {
-            pos,
-            zero,
-            zero_start,
+            buckets,
             n: graph.node_count(),
             m: graph.edge_count(),
             bound,
@@ -400,57 +525,49 @@ impl TopoDigest {
             d
         };
         let mut next = TopoDigest {
-            pos: self.pos.clone(),
-            zero: self.zero.clone(),
-            zero_start: self.zero_start.clone(),
+            buckets: self.buckets.clone(),
             n: self.n,
             m: self.m,
             bound: self.bound,
             epoch,
             delta: delta.clone(),
         };
+        let bk = &mut next.buckets;
         for &e in changed {
             let rec = graph.edge(e);
             let (b, o) = (rec.delay, rec.cost);
             assert!(b >= 0, "budgets must be nonnegative");
             assert!(o >= 0, "objectives must be nonnegative");
-            // `pos` is in edge-id order by construction, so membership is a
-            // binary search away.
-            let in_pos = next.pos.binary_search_by_key(&e.0, |p| p.id);
-            let zlo = next.zero_start[rec.src.index()] as usize;
-            let zhi = next.zero_start[rec.src.index() + 1] as usize;
-            let in_zero = next.zero[zlo..zhi].iter().position(|z| z.id == e.0);
+            // Both CSRs group by tail, so membership is a scan of the
+            // tail's own out-edges.
+            let src = rec.src.index();
+            let plo = bk.pos_start[src] as usize;
+            let in_pos = bk.pos_of(src).iter().position(|p| p.id == e.0);
+            let zlo = bk.zero_start[src] as usize;
+            let in_zero = bk.zero_of(src).iter().position(|z| z.id == e.0);
             if b >= 1 && b <= self.bound as i64 {
                 match (in_pos, in_zero) {
-                    (Ok(i), None) => {
-                        next.pos[i].budget = b as u32;
-                        next.pos[i].obj = o;
+                    (Some(i), None) => {
+                        bk.pos[plo + i].budget = b as u32;
+                        bk.pos[plo + i].obj = o;
                     }
                     // was zero-budget or above-bound: bucket class changed
                     _ => return rebuild(epoch, delta),
                 }
             } else if b == 0 {
                 match (in_pos, in_zero) {
-                    (Err(_), Some(k)) => next.zero[zlo + k].obj = o,
+                    (None, Some(k)) => bk.zero[zlo + k].obj = o,
                     _ => return rebuild(epoch, delta),
                 }
             } else {
                 // b > bound: the edge must be in neither bucket.
-                if in_pos.is_ok() || in_zero.is_some() {
+                if in_pos.is_some() || in_zero.is_some() {
                     return rebuild(epoch, delta);
                 }
             }
         }
+        bk.max_budget = bk.pos.iter().map(|p| p.budget).max().unwrap_or(0);
         next
-    }
-
-    #[inline]
-    fn buckets(&self) -> Buckets<'_> {
-        Buckets {
-            pos: &self.pos,
-            zero: &self.zero,
-            zero_start: &self.zero_start,
-        }
     }
 
     /// Asserts the digest was built from a graph of this shape.
@@ -466,10 +583,11 @@ enum SweepOutcome {
     /// The stop predicate held at this level; no level above it was
     /// computed.
     Found(usize),
-    /// Every level was computed and the stop predicate never held.
+    /// The stop predicate never held, and no value can fall at any level
+    /// left: every level is readable.
     Exhausted,
-    /// The scratch's [`CancelToken`] tripped mid-run (the table is partial
-    /// and must not be read).
+    /// The scratch's [`CancelToken`] tripped mid-run (the labels are
+    /// partial and must not be read).
     Cancelled,
 }
 
@@ -494,10 +612,8 @@ fn reaches(t: NodeId, feas_bound: i64) -> impl Fn(&[i64]) -> bool {
 /// handled with a per-level Dijkstra pass over the zero-edge CSR
 /// (objectives must be nonnegative).
 ///
-/// Relaxation order — positive edges in id order per level, then the
-/// smallest-value-first zero pass — matches `reference::budget_dp` exactly,
-/// so values, parents, and recovered paths are bit-identical to the 2-D
-/// oracle.
+/// Values, parents and recovered paths are bit-identical to the dense
+/// `reference::budget_dp` (see the module docs for why).
 #[must_use]
 fn budget_dp(
     scratch: &mut DpScratch,
@@ -508,7 +624,6 @@ fn budget_dp(
     objective_of: impl Fn(EdgeId) -> i64,
     stop: impl Fn(&[i64]) -> bool,
 ) -> SweepOutcome {
-    let n = graph.node_count();
     // Predigest the weights: one accessor call per edge, validated once.
     digest_buckets(
         graph,
@@ -518,167 +633,163 @@ fn budget_dp(
         BucketBufs {
             ebud: &mut scratch.ebud,
             eobj: &mut scratch.eobj,
-            pos: &mut scratch.pos,
-            zero: &mut scratch.zero,
-            zero_start: &mut scratch.zero_start,
+            out: &mut scratch.buckets,
         },
     );
-    // Lend the scratch its own buckets for the sweep (moved out and back so
-    // the arena keeps its capacity; the sweep needs the scratch mutably).
-    let pos = std::mem::take(&mut scratch.pos);
-    let zero = std::mem::take(&mut scratch.zero);
-    let zero_start = std::mem::take(&mut scratch.zero_start);
-    let outcome = dp_sweep(
-        scratch,
-        &Buckets {
-            pos: &pos,
-            zero: &zero,
-            zero_start: &zero_start,
-        },
-        n,
+    dp_sweep(
+        &mut scratch.sweep,
+        &scratch.buckets,
+        &scratch.cancel,
+        graph.node_count(),
         s,
         bound + 1,
         stop,
-    );
-    scratch.pos = pos;
-    scratch.zero = zero;
-    scratch.zero_start = zero_start;
-    outcome
+    )
 }
 
-/// The DP loop proper, over already-built buckets: computes the scratch's
-/// value/parent rows for levels `0..levels`, stopping after the first
-/// level whose row satisfies `stop`. The buckets may be the scratch's own
-/// ([`budget_dp`]) or a shared [`TopoDigest`]'s; either way the relaxation
-/// skips edges whose budget exceeds the current level, so buckets built at
-/// any bound ≥ `levels - 1` produce identical tables. Level `b` depends
-/// only on levels `≤ b`, so a stopped sweep's rows — and the parent chains
-/// behind them — are exactly a full sweep's.
+/// The sparse sweep proper, over already-built buckets: writes the labels
+/// of levels `0..levels`, stopping after the first level whose row
+/// satisfies `stop`, or once nothing is pending. The buckets may be the
+/// scratch's own ([`budget_dp`]) or a shared [`TopoDigest`]'s; either way
+/// no candidate is pushed past level `levels − 1`, so buckets built at any
+/// bound ≥ `levels − 1` produce identical labels.
 #[must_use]
 fn dp_sweep(
-    scratch: &mut DpScratch,
-    buckets: &Buckets<'_>,
+    sw: &mut Sweep,
+    buckets: &EdgeBuckets,
+    cancel: &CancelToken,
     n: usize,
     s: NodeId,
     levels: usize,
     stop: impl Fn(&[i64]) -> bool,
 ) -> SweepOutcome {
     fail_point!("csp.dp", |_msg| SweepOutcome::Cancelled);
-    let cancel = scratch.cancel.clone();
     if cancel.is_cancelled() {
         return SweepOutcome::Cancelled;
     }
-    scratch.n = n;
-    scratch.levels = levels;
-    let has_zero = !buckets.zero.is_empty();
-
-    // Row-lazy tables: `dp_level` appends each row as its level is
-    // computed, so rows a stopped sweep never reaches are never written.
-    // `clear` keeps the capacity across runs.
-    scratch.value.clear();
-    scratch.par_edge.clear();
-    scratch.par_level.clear();
-    if scratch.settled.len() < n {
-        scratch.settled.resize(n, 0);
+    // Candidates target at most `max_budget` (and at most `levels − 1`)
+    // levels ahead, so that many buckets plus the current one never alias.
+    let ring_len = (buckets.max_budget as usize).min(levels - 1) + 1;
+    sw.levels = levels;
+    sw.swept = 0;
+    sw.labels.clear();
+    sw.fresh.clear();
+    sw.head.clear();
+    sw.head.resize(n, NO_LABEL);
+    sw.cur.clear();
+    sw.cur.resize(n, UNREACHED);
+    if sw.settled.len() < n {
+        sw.settled.resize(n, 0);
     }
+    if sw.ring.len() < ring_len {
+        sw.ring.resize_with(ring_len, Vec::new);
+    }
+    // A stopped or cancelled run leaves candidates behind.
+    sw.ring[..ring_len].iter_mut().for_each(Vec::clear);
+    let has_zero = !buckets.zero.is_empty();
+    let mut pending = 0usize;
 
     for b in 0..levels {
         // Poll every 32 levels: frequent enough to stop a runaway scaled
-        // DP (levels are O(m) work each), rare enough to stay off the
-        // profile.
+        // DP, rare enough to stay off the profile.
         if b & 31 == 0 && cancel.is_cancelled() {
             return SweepOutcome::Cancelled;
         }
-        dp_level(scratch, buckets, n, s, b, has_zero);
-        if stop(&scratch.value[b * n..]) {
+        if b > 0 && pending == 0 {
+            // No value can fall at any level left.
+            return SweepOutcome::Exhausted;
+        }
+        sw.swept = b + 1;
+        let level = b as u32;
+        let level_start = sw.labels.len();
+        if b == 0 {
+            sw.fall(s.0, 0, (NO_PARENT, 0), 0, 0);
+        } else {
+            // The candidates due here: the smallest `(value, id)` below the
+            // carried value wins (a tie keeps the smaller edge id).
+            let mut due = std::mem::take(&mut sw.ring[b % ring_len]);
+            pending -= due.len();
+            for c in &due {
+                let v = c.dst as usize;
+                let wins = c.value < sw.cur[v]
+                    || (c.value == sw.cur[v]
+                        && sw
+                            .fresh_label(v, level_start)
+                            .is_some_and(|h| c.id < sw.labels[h].par_edge));
+                if wins {
+                    sw.fall(c.dst, c.value, (c.id, c.from), level, level_start);
+                }
+            }
+            due.clear();
+            sw.ring[b % ring_len] = due;
+        }
+        if sw.fresh.is_empty() {
+            // Nothing fell, so the row (and the stop verdict) is the last
+            // level's.
+            continue;
+        }
+        if has_zero {
+            zero_pass(sw, buckets, level, level_start);
+        }
+        if stop(&sw.cur) {
             return SweepOutcome::Found(b);
         }
+        for i in 0..sw.fresh.len() {
+            let u = sw.fresh[i] as usize;
+            let value = sw.cur[u];
+            for pe in buckets.pos_of(u) {
+                let to = b + pe.budget as usize;
+                let cand = value + pe.obj;
+                if to < levels && cand < sw.cur[pe.dst as usize] {
+                    sw.ring[to % ring_len].push(Cand {
+                        value: cand,
+                        dst: pe.dst,
+                        id: pe.id,
+                        from: level,
+                    });
+                    pending += 1;
+                }
+            }
+        }
+        sw.fresh.clear();
     }
     SweepOutcome::Exhausted
 }
 
-/// Appends and relaxes DP level `b` (rows `0..b` must be in place):
-/// carry-over from level `b−1`, positive-budget transitions in edge-id
-/// order, then the within-level zero-budget pass.
-fn dp_level(
-    scratch: &mut DpScratch,
-    buckets: &Buckets<'_>,
-    n: usize,
-    s: NodeId,
-    b: usize,
-    has_zero: bool,
-) {
-    let row = b * n;
-    debug_assert_eq!(scratch.value.len(), row, "levels are appended in order");
-    if b > 0 {
-        // Carry-over: the new row starts as a copy of the previous level.
-        scratch.value.extend_from_within((row - n)..row);
-    } else {
-        scratch.value.resize(n, UNREACHED);
+/// The within-level relaxation over zero-budget edges (Dijkstra flavor,
+/// strict `<`, smallest `(value, node)` first), seeded with the nodes
+/// labelled at this level so far. Only nodes with outgoing zero-budget
+/// edges can propagate, so only they enter the heap.
+fn zero_pass(sw: &mut Sweep, buckets: &EdgeBuckets, level: u32, level_start: usize) {
+    sw.gen += 1;
+    let gen = sw.gen;
+    sw.heap.clear();
+    for i in 0..sw.fresh.len() {
+        let v = sw.fresh[i];
+        if buckets.zero_tail(v) {
+            sw.heap.push(Reverse((sw.cur[v as usize], v)));
+        }
     }
-    scratch.par_edge.resize(row + n, NO_PARENT);
-    scratch.par_level.resize(row + n, 0);
-    scratch.value[row + s.index()] = 0;
-    // Cross-level transitions, in edge-id order (ties must resolve as
-    // in the reference kernel).
-    for pe in buckets.pos {
-        if pe.budget as usize > b {
+    while let Some(Reverse((dv, v))) = sw.heap.pop() {
+        if sw.settled[v as usize] == gen || sw.cur[v as usize] != dv {
             continue;
         }
-        let vu = scratch.value[(b - pe.budget as usize) * n + pe.src as usize];
-        if vu == UNREACHED {
-            continue;
-        }
-        let cand = vu + pe.obj;
-        let slot = row + pe.dst as usize;
-        if cand < scratch.value[slot] {
-            scratch.value[slot] = cand;
-            scratch.par_edge[slot] = pe.id;
-            scratch.par_level[slot] = (b - pe.budget as usize) as u32;
-        }
-    }
-    if !has_zero {
-        return;
-    }
-    // Within-level relaxation over zero-budget edges (Dijkstra flavor).
-    // Only nodes with outgoing zero-budget edges can propagate, so only
-    // they enter the heap; everything else is pure overhead.
-    scratch.gen += 1;
-    let gen = scratch.gen;
-    scratch.heap.clear();
-    for v in 0..n as u32 {
-        if zero_tail(buckets.zero_start, v) && scratch.value[row + v as usize] != UNREACHED {
-            scratch
-                .heap
-                .push(Reverse((scratch.value[row + v as usize], v)));
-        }
-    }
-    while let Some(Reverse((dv, v))) = scratch.heap.pop() {
-        if scratch.settled[v as usize] == gen || scratch.value[row + v as usize] != dv {
-            continue;
-        }
-        scratch.settled[v as usize] = gen;
-        let (lo, hi) = (
-            buckets.zero_start[v as usize] as usize,
-            buckets.zero_start[v as usize + 1] as usize,
-        );
-        for i in lo..hi {
-            let ze = buckets.zero[i];
+        sw.settled[v as usize] = gen;
+        for ze in buckets.zero_of(v as usize) {
             let cand = dv + ze.obj;
-            let slot = row + ze.dst as usize;
-            if cand < scratch.value[slot] {
-                scratch.value[slot] = cand;
-                scratch.par_edge[slot] = ze.id;
-                scratch.par_level[slot] = b as u32;
-                if zero_tail(buckets.zero_start, ze.dst) {
-                    scratch.heap.push(Reverse((cand, ze.dst)));
+            if cand < sw.cur[ze.dst as usize] {
+                sw.fall(ze.dst, cand, (ze.id, level), level, level_start);
+                if buckets.zero_tail(ze.dst) {
+                    sw.heap.push(Reverse((cand, ze.dst)));
                 }
             }
         }
     }
 }
 
-/// Reconstructs the path reaching `t` at level `b` of a [`budget_dp`] run.
+/// Reconstructs the path reaching `t` at level `b` of the scratch's last
+/// sweep: from each node's label in force at the current level, step to
+/// the parent edge's tail at the parent level.
 fn recover(
     scratch: &DpScratch,
     graph: &DiGraph,
@@ -686,26 +797,20 @@ fn recover(
     t: NodeId,
     mut b: usize,
 ) -> Vec<EdgeId> {
-    let n = scratch.n;
+    let sw = &scratch.sweep;
     let mut edges = Vec::new();
     let mut v = t;
     let mut guard = 0usize;
     while v != s {
-        // Drop to the lowest level with the same value (carried entries have
-        // no parent at this level).
-        while b > 0 && scratch.value[(b - 1) * n + v.index()] == scratch.value[b * n + v.index()] {
-            b -= 1;
-        }
-        let slot = b * n + v.index();
-        let e = scratch.par_edge[slot];
-        assert!(e != NO_PARENT, "dp parent chain intact");
-        let e = EdgeId(e);
+        let label = sw.label_at(v.index(), b).expect("dp parent chain intact");
+        assert!(label.par_edge != NO_PARENT, "dp parent chain intact");
+        let e = EdgeId(label.par_edge);
         edges.push(e);
         v = graph.edge(e).src;
-        b = scratch.par_level[slot] as usize;
+        b = label.par_level as usize;
         guard += 1;
         assert!(
-            guard <= graph.edge_count() + scratch.levels,
+            guard <= graph.edge_count() + sw.levels,
             "dp path recovery loop"
         );
     }
@@ -793,8 +898,9 @@ pub fn constrained_shortest_path_digested(
     );
     let bound = delay_bound as usize;
     let outcome = dp_sweep(
-        scratch,
-        &digest.buckets(),
+        &mut scratch.sweep,
+        &digest.buckets,
+        &scratch.cancel,
         digest.n,
         s,
         bound + 1,
@@ -813,10 +919,10 @@ pub fn constrained_shortest_path_digested(
 /// DP sweeps across queries with the same source.
 ///
 /// Queries are grouped by source in first-appearance order; each group
-/// runs **one** sweep to the group's largest bound. The value table at any
-/// level `b` depends only on levels `≤ b` (and the per-level relaxation
-/// skips edges whose budget exceeds the level), so every query reads the
-/// same cells — and recovers the same parents — as a dedicated
+/// runs **one** sweep to the group's largest bound. A value at any level
+/// `b` depends only on levels `≤ b` (and no candidate is pushed past the
+/// sweep's last level), so every query reads the same labels — and
+/// recovers the same parents — as a dedicated
 /// [`constrained_shortest_path_with`] run at its own bound: results are
 /// bit-identical, query by query.
 ///
@@ -856,8 +962,9 @@ pub fn constrained_shortest_paths_digested(
             .max()
             .expect("group is nonempty");
         let outcome = dp_sweep(
-            scratch,
-            &digest.buckets(),
+            &mut scratch.sweep,
+            &digest.buckets,
+            &scratch.cancel,
             digest.n,
             s,
             max_bound + 1,
@@ -1315,7 +1422,11 @@ pub fn rsp_fptas_interval_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use krsp_gen::{Family, Regime};
+    use krsp_graph::EdgeRef;
     use proptest::prelude::*;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha20Rng;
 
     /// Cheap path is slow; fast path is pricey.
     fn tradeoff_graph() -> DiGraph {
@@ -1378,7 +1489,8 @@ mod tests {
         // One scratch, alternating graphs, bounds, and sweep kinds: buffers
         // must re-dimension correctly and answers must match fresh-scratch
         // runs. ε = 1 FPTAS runs stop their sweeps early, and the full
-        // exact sweeps after them must not read the rows left behind.
+        // exact sweeps after them must not read the labels or the pending
+        // candidates left behind.
         let g1 = tradeoff_graph();
         let g2 = DiGraph::from_edges(6, &[(0, 1, 2, 3), (1, 5, 2, 3), (0, 5, 9, 1)]);
         let hops: Vec<_> = (0..9u32)
@@ -1395,9 +1507,15 @@ mod tests {
                     assert_eq!(fresh, reused, "exact d={d}");
                     for (num, den) in [(1, 2), (1, 1)] {
                         let fresh = rsp_fptas(g, NodeId(0), t, d, num, den);
+                        // Zeroed so a call that runs no sweep cannot count.
+                        scratch.sweep.levels = 0;
                         let reused = rsp_fptas_with(g, NodeId(0), t, d, num, den, &mut scratch);
                         assert_eq!(fresh, reused, "fptas d={d} eps={num}/{den}");
-                        stopped_early |= scratch.value.len() < scratch.levels * scratch.n;
+                        // An answer comes from a final sweep that found `t`;
+                        // count it when it walked fewer levels than its
+                        // budget allows.
+                        stopped_early |=
+                            reused.is_some() && scratch.sweep.swept < scratch.sweep.levels;
                     }
                 }
             }
@@ -1406,6 +1524,24 @@ mod tests {
             stopped_early,
             "some FPTAS sweep must stop short of its budget"
         );
+    }
+
+    #[test]
+    fn exhausted_sweep_stops_once_nothing_is_pending() {
+        // 0→5 directly (cost 9, delay 1) or through 1 (cost 4, delay 6):
+        // no value falls past level 6, so a sweep to level 1000 stops
+        // walking there and still answers at its bound.
+        let g = DiGraph::from_edges(6, &[(0, 1, 2, 3), (1, 5, 2, 3), (0, 5, 9, 1)]);
+        let mut scratch = DpScratch::new();
+        let p = constrained_shortest_path_with(&g, NodeId(0), NodeId(5), 1000, &mut scratch);
+        assert_eq!(p.map(|p| (p.cost, p.delay)), Some((4, 6)));
+        assert_eq!(scratch.sweep.levels, 1001);
+        assert_eq!(scratch.sweep.swept, 7, "levels 0..=6 walked");
+        // Between the two falls of node 5 (levels 1 and 6) the sweep keeps
+        // walking: a candidate is still pending.
+        assert_eq!(scratch.value_at(5, NodeId(5)), 9);
+        assert_eq!(scratch.value_at(1000, NodeId(5)), 4);
+        assert_eq!(scratch.value_at(0, NodeId(5)), UNREACHED);
     }
 
     #[test]
@@ -1647,6 +1783,32 @@ mod tests {
         assert!(2i128 * i128::from(geometric_midpoint(lb, ub)) < i128::from(ub));
     }
 
+    /// A generator-family graph, optionally rebuilt with every
+    /// `zero_stride`-th edge's delay zeroed, as `tests/kernels.rs` does: the
+    /// zero-budget pass is the trickiest part of the sweep.
+    fn family_graph(
+        family: Family,
+        n: usize,
+        regime: Regime,
+        seed: u64,
+        zero_stride: usize,
+    ) -> DiGraph {
+        let g = family.sample(n, n * 4, regime, &mut ChaCha20Rng::seed_from_u64(seed));
+        if zero_stride == 0 {
+            return g;
+        }
+        let mut rebuilt = DiGraph::new(g.node_count());
+        for (id, e) in g.edge_iter() {
+            let delay = if id.index() % zero_stride == 0 {
+                0
+            } else {
+                e.delay
+            };
+            rebuilt.add_edge(e.src, e.dst, e.cost, delay);
+        }
+        rebuilt
+    }
+
     fn arb_graph() -> impl Strategy<Value = (DiGraph, i64)> {
         (
             proptest::collection::vec((0u32..7, 0u32..7, 0i64..15, 0i64..15), 1..24),
@@ -1660,6 +1822,68 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
+        /// The whole table, not just the path to `t`: at every level
+        /// `b ≤ bound` and every node `v`, the sweep's value and the path
+        /// `recover` walks equal the dense oracle's `value[b][v]` and parent
+        /// chain. Budgets run both ways round: delay (the exact DP's shape,
+        /// with zero-budget edges) and cost (the FPTAS's shape).
+        #[test]
+        fn prop_sweep_matches_reference_at_every_level_and_node(
+            fam_ix in 0usize..5,
+            reg_ix in 0usize..3,
+            n in 8usize..28,
+            seed in 0u64..1_000_000,
+            bound in 0usize..60,
+            zero_stride in 0usize..4,
+            budget_is_cost in 0u8..2,
+        ) {
+            let family = [Family::Gnm, Family::Grid, Family::Layered, Family::Geometric, Family::ScaleFree][fam_ix];
+            let regime = [Regime::Uniform, Regime::Correlated, Regime::Anticorrelated][reg_ix];
+            let g = family_graph(family, n, regime, seed, zero_stride);
+            let (s, _) = family.terminals(g.node_count());
+            type Weight = fn(EdgeRef) -> i64;
+            let (budget, objective): (Weight, Weight) = if budget_is_cost == 1 {
+                (|e| e.cost, |e| e.delay)
+            } else {
+                (|e| e.delay, |e| e.cost)
+            };
+            let mut scratch = DpScratch::new();
+            let outcome = budget_dp(
+                &mut scratch,
+                &g,
+                s,
+                bound,
+                |e| budget(g.edge(e)),
+                |e| objective(g.edge(e)),
+                full_sweep,
+            );
+            prop_assert_eq!(outcome, SweepOutcome::Exhausted);
+            let oracle = crate::reference::budget_dp(
+                &g,
+                s,
+                bound,
+                &|e| budget(g.edge(e)),
+                &|e| objective(g.edge(e)),
+            );
+            for b in 0..=bound {
+                for v in g.node_iter() {
+                    let want = oracle.value[b][v.index()];
+                    prop_assert_eq!(
+                        scratch.value_at(b, v),
+                        want.unwrap_or(UNREACHED),
+                        "{:?} seed {} level {} node {}", family, seed, b, v.index()
+                    );
+                    if want.is_some() && v != s {
+                        prop_assert_eq!(
+                            recover(&scratch, &g, s, v, b),
+                            crate::reference::recover(&oracle, &g, s, v, b),
+                            "{:?} seed {} level {} node {}", family, seed, b, v.index()
+                        );
+                    }
+                }
+            }
+        }
+
         #[test]
         fn prop_fptas_within_factor((g, d) in arb_graph()) {
             let exact = constrained_shortest_path(&g, NodeId(0), NodeId(6), d);

@@ -4,7 +4,7 @@
 //! rung leans on — now sits behind the [`RspKernel`] trait, with two
 //! interchangeable backends:
 //!
-//! * [`ClassicFptas`] — the flat Lorenz–Raz style scheme
+//! * [`ClassicFptas`] — the Lorenz–Raz style scheme
 //!   ([`crate::csp::rsp_fptas_with`]), bit-identical to the preserved
 //!   [`crate::reference`] oracle;
 //! * [`IntervalScalingFptas`] — the Holzmüller-style interval-scaling
@@ -42,7 +42,7 @@ use std::str::FromStr;
 /// `interval`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum KernelKind {
-    /// The flat Lorenz–Raz style FPTAS (the pre-trait default).
+    /// The Lorenz–Raz style FPTAS (the pre-trait default).
     #[default]
     Classic,
     /// The Holzmüller-style interval-scaling FPTAS.
@@ -203,7 +203,7 @@ pub trait RspKernel: Send + Sync {
     }
 }
 
-/// The flat Lorenz–Raz style FPTAS, unchanged behind the trait:
+/// The Lorenz–Raz style FPTAS, unchanged behind the trait:
 /// bit-identical to [`crate::csp::rsp_fptas_with`] (and hence to the
 /// preserved [`crate::reference`] oracle) for every valid ε.
 #[derive(Clone, Copy, Debug, Default)]

@@ -4,7 +4,7 @@
 //! their rewrites:
 //!
 //! * the original 2-D `Option`-table budgeted DP and the FPTAS built on it,
-//!   from before the flat-kernel rewrite in [`crate::csp`];
+//!   from before the flat and then sparse rewrites in [`crate::csp`];
 //! * the textbook Bellman–Ford engine, which runs all n rounds and only
 //!   then walks back from the last node relaxed, from before
 //!   [`crate::bellman_ford`](mod@crate::bellman_ford) learned to stop at

@@ -49,11 +49,12 @@ use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::time::Duration;
 
-/// Table capacity, in bytes, a worker's `k = 1` DP arena keeps between
-/// requests. Tables grow with `levels × n`; at ε = 1 a hundred `n = 240`
-/// gnm instances left about 2 MB, far below this, while one outsized
-/// instance's tables are freed when its solve returns instead of staying
-/// pinned for the daemon's lifetime.
+/// Capacity, in bytes, a worker's `k = 1` DP arena keeps between requests
+/// ([`DpScratch::table_bytes`]: labels, the candidate ring, edge buckets
+/// and per-node buffers). At ε = 1 a hundred `n = 240` gnm instances left
+/// about 0.3 MB, far below this, while one outsized instance's buffers are
+/// freed when its solve returns instead of staying pinned for the daemon's
+/// lifetime.
 const K1_ARENA_KEEP_BYTES: usize = 16 << 20;
 
 thread_local! {
@@ -691,7 +692,8 @@ mod tests {
         // request's own token), the next solve panics inside its DP with
         // its token still installed, and that token is tripped afterwards.
         // The request after that must see neither the torn tables nor the
-        // stale token.
+        // stale token. Last, an outsized run's leftovers must be trimmed
+        // once the next request has its answer.
         let _fp = crate::sync_util::fp_lock();
         let (big, inst) = (gnm_k1(60, 3), gnm_k1(30, 11));
         let mut scratch = SearchScratch::new();
@@ -734,6 +736,31 @@ mod tests {
                 .unwrap();
             let fresh = EdgeSet::from_edges(inst.m(), &fresh.edges);
             assert_eq!(again.edges, fresh, "{kind}");
+
+            // One edge of delay 2^20 gives the exact DP a 2^20-bucket
+            // candidate ring, past what the arena keeps.
+            K1_DP.with(|dp| {
+                let mut dp = dp.borrow_mut();
+                let wide = DiGraph::from_edges(2, &[(0, 1, 1, 1 << 20)]);
+                let p = krsp_flow::constrained_shortest_path_with(
+                    &wide,
+                    NodeId(0),
+                    NodeId(1),
+                    1 << 20,
+                    &mut dp,
+                );
+                assert!(p.is_some());
+                assert!(dp.table_bytes() > K1_ARENA_KEEP_BYTES);
+            });
+            let Attempt::Solved(trimmed, ..) = solve(&inst, &CancelToken::never()) else {
+                panic!("{kind}: the request on an outsized arena must answer");
+            };
+            assert_eq!(trimmed.edges, fresh, "{kind}");
+            assert_eq!(
+                K1_DP.with(|dp| dp.borrow().table_bytes()),
+                0,
+                "{kind}: the outsized arena must be trimmed"
+            );
         }
     }
 

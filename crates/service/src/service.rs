@@ -889,18 +889,30 @@ fn finish_metrics(
 /// certifies, when it certifies one). That reference is the solve's
 /// certified `Ĉ* ≤ C_OPT` where it proves one — Algorithm 1's bound, which
 /// an optimal answer can put above `2·C_LP` — and the LP lower bound
-/// otherwise.
+/// otherwise. A `k = 1` answer from the RSP kernel carries neither, so it
+/// is held to `C_OPT` itself: the exact RSP optimum at `D`.
 #[cfg(debug_assertions)]
 fn audit_response(instance: &Instance, degraded: &Degraded, certified: Option<i64>) {
     let mut relaxed = instance.clone();
     relaxed.delay_bound = instance
         .delay_bound
         .saturating_mul(i64::from(degraded.guarantee.delay_factor));
-    let reference = degraded
-        .guarantee
-        .cost_factor
-        .zip(certified.map(Into::into).or(degraded.solution.lower_bound))
-        .map(|(factor, lb)| (lb, factor));
+    let reference = degraded.guarantee.cost_factor.and_then(|factor| {
+        let lb = certified
+            .map(Into::into)
+            .or(degraded.solution.lower_bound)
+            .or_else(|| {
+                let (g, s, t, d) = (
+                    &instance.graph,
+                    instance.s,
+                    instance.t,
+                    instance.delay_bound,
+                );
+                let opt = (instance.k == 1).then(|| krsp::constrained_shortest_path(g, s, t, d));
+                opt.flatten().map(|p| p.cost.into())
+            })?;
+        Some((lb, factor))
+    });
     let violations = krsp::verify::audit(&relaxed, &degraded.solution, reference);
     assert!(
         violations.is_empty(),
@@ -1001,6 +1013,37 @@ mod tests {
         let out = std::panic::catch_unwind(AssertUnwindSafe(|| provision_rotated(&restarted)));
         let _ = std::fs::remove_dir_all(&dir);
         out.unwrap();
+    }
+
+    /// A `k = 1` Full answer carries no certified reference and no LP
+    /// bound, so the audit holds it to the exact RSP optimum: an answer at
+    /// `C_OPT` passes and one above `2·C_OPT` trips it.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn k1_full_answer_above_twice_the_optimum_trips_the_audit() {
+        // OPT = 2 over 0→1→3; the 0→2→3 leg costs 20 within the same D.
+        let g = DiGraph::from_edges(
+            4,
+            &[(0, 1, 1, 1), (1, 3, 1, 1), (0, 2, 10, 1), (2, 3, 10, 1)],
+        );
+        let inst = Instance::new(g, krsp_graph::NodeId(0), krsp_graph::NodeId(3), 1, 4).unwrap();
+        let answer = |ids: &[u32]| {
+            let ids: Vec<krsp_graph::EdgeId> = ids.iter().map(|&e| krsp_graph::EdgeId(e)).collect();
+            Degraded {
+                solution: Solution::from_edge_set(&inst, EdgeSet::from_edges(inst.m(), &ids))
+                    .unwrap(),
+                rung: Rung::Full,
+                guarantee: Rung::Full.guarantee(),
+                kernel: KernelKind::Classic,
+                warm: false,
+            }
+        };
+        audit_response(&inst, &answer(&[0, 1]), None);
+        let inflated = answer(&[2, 3]);
+        assert_eq!(inflated.solution.cost, 20);
+        let tripped = catch_unwind(AssertUnwindSafe(|| audit_response(&inst, &inflated, None)));
+        let message = panic_message(tripped.unwrap_err().as_ref());
+        assert!(message.contains("CostGuaranteeExceeded"), "{message}");
     }
 
     #[test]

@@ -79,6 +79,12 @@ cargo run -q --release -p krsp-bench --bin kernels -- --smoke --out "$smoke_out"
 # binary — reaching these greps means both kernels answered every smoke
 # instance within (1+ε)·OPT under the delay bound.
 grep -q '"schema": "krsp-bench-kernels/v2"' "$smoke_out"
+# The budget_dp and rsp_fptas rows race the sparse DP (exact, and under the
+# FPTAS) against the dense 2-D reference and assert in-binary that both
+# returned the same path on every grid instance: reaching these greps means
+# sparse ≡ reference held across the grid.
+grep -q '"bench": "budget_dp"' "$smoke_out"
+grep -q '"bench": "rsp_fptas"' "$smoke_out"
 grep -q '"bench": "solve_batch"' "$smoke_out"
 grep -q '"variant": "classic"' "$smoke_out"
 grep -q '"variant": "interval"' "$smoke_out"
