@@ -41,6 +41,7 @@
 use krsp::bicameral::{seed_scan_only, Ctx};
 use krsp::{baselines, solve, solve_batch, Config, Instance};
 use krsp_bench::standard_workload;
+use krsp_flow::csp::threshold_search;
 use krsp_flow::{
     constrained_shortest_path_with, constrained_shortest_paths_digested, find_negative_cycle_in,
     flow_terms, kernel, min_cost_k_flow, min_cost_k_flow_lex, pack_lex_keys, reference,
@@ -375,6 +376,15 @@ fn main() {
     let grid = grid(smoke);
     assert!(!grid.is_empty(), "workload grid produced no instances");
 
+    // A set of `rsp_cold`-shaped instances (gnm, n = 240, anticorrelated,
+    // tightness 0.5): the service's k = 1 workload.
+    let rsp_cold: Vec<Instance> = (0..if smoke { 2 } else { 16 })
+        .filter_map(|j| {
+            standard_workload(Family::Gnm, 240, 1, Regime::Anticorrelated, 0.5, 23_000 + j)
+        })
+        .collect();
+    assert!(!rsp_cold.is_empty(), "rsp_cold set produced no instances");
+
     // --- budget_dp (exact DP) and rsp_fptas: sparse vs reference --------
     let mut dp = DpScratch::new();
     for (label, inst) in &grid {
@@ -405,6 +415,57 @@ fn main() {
         );
     }
 
+    // --- threshold_search: the FPTAS's Phase A, scratch vs reference ----
+    // The scratch search (one reverse min-delay search, pruned probes, one
+    // witness search) against the full-Dijkstra bisection with sentinel
+    // weights it replaced, on each grid instance and on the `rsp_cold` set.
+    // Both must return the same `c*` and the same witness edge for edge:
+    // asserted per instance before timing, and the checksums fold both.
+    let threshold_rows = grid
+        .iter()
+        .map(|(label, inst)| (label.clone(), std::slice::from_ref(inst), 2000))
+        .chain([("rsp_cold_gnm_n240".to_string(), &rsp_cold[..], 100)]);
+    for (label, insts, iters) in threshold_rows {
+        let ck = |r: Option<(i64, krsp_flow::CspPath)>| {
+            r.map_or(-1, |(cstar, p)| {
+                cstar
+                    .wrapping_mul(1_000_003)
+                    .wrapping_add(fingerprint(Some(&p)))
+            })
+        };
+        for inst in insts {
+            let (g, s, t, d) = (&inst.graph, inst.s, inst.t, inst.delay_bound);
+            assert_eq!(
+                threshold_search(g, s, t, d, &mut dp),
+                reference::threshold_search(g, s, t, d),
+                "threshold_search/{label}: c* or the witness differs from the reference"
+            );
+        }
+        let fold = |f: &mut dyn FnMut(&Instance) -> i64| {
+            insts
+                .iter()
+                .fold(0i64, |acc, inst| acc.wrapping_mul(31).wrapping_add(f(inst)))
+        };
+        h.ab(
+            "threshold_search",
+            &label,
+            iters,
+            ("scratch", || {
+                fold(&mut |i| ck(threshold_search(&i.graph, i.s, i.t, i.delay_bound, &mut dp)))
+            }),
+            ("reference", || {
+                fold(&mut |i| {
+                    ck(reference::threshold_search(
+                        &i.graph,
+                        i.s,
+                        i.t,
+                        i.delay_bound,
+                    ))
+                })
+            }),
+        );
+    }
+
     // --- rsp_kernel: pluggable FPTAS backends, kernel axis ---------------
     // Both kernels stop every DP at the first delay-feasible level; the
     // classic kernel's final DP scales against a ~4(n+1)/ε budget range,
@@ -415,15 +476,8 @@ fn main() {
     // against the exact DP: feasibility must agree, `delay ≤ D`, and
     // `cost ≤ (1+ε)·OPT`. Two regimes: ε = 1/16, the small-ε regime the
     // interval scheme targets, on each grid instance; and ε = 1, what the
-    // service's `k = 1` arm runs, on a set of `rsp_cold`-shaped instances
-    // (gnm, n = 240, anticorrelated, tightness 0.5), each iteration solving
-    // the whole set.
-    let rsp_cold: Vec<Instance> = (0..if smoke { 2 } else { 16 })
-        .filter_map(|j| {
-            standard_workload(Family::Gnm, 240, 1, Regime::Anticorrelated, 0.5, 23_000 + j)
-        })
-        .collect();
-    assert!(!rsp_cold.is_empty(), "rsp_cold set produced no instances");
+    // service's `k = 1` arm runs, on the `rsp_cold` set, each iteration
+    // solving the whole set.
     let kernel_rows = grid
         .iter()
         .map(|(label, inst)| (label.clone(), std::slice::from_ref(inst), (1u32, 16u32), 15))

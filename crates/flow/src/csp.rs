@@ -72,9 +72,32 @@
 //! Values, parents and recovered paths are therefore bit-identical to the
 //! dense DP, and the test suite pins them to [`crate::reference`] level by
 //! level, node by node.
+//!
+//! ## Before and between the DPs
+//!
+//! Both FPTAS kernels open with [`threshold_search`] (DESIGN.md §4.12): the
+//! smallest edge-cost threshold `c*` under which a path meets the delay
+//! bound, and the min-delay path under it, the witness. One reverse
+//! min-delay search from `t` gives each node a lower bound `h` on its
+//! delay to `t`; every later search skips the edges above its threshold,
+//! prunes the nodes with `dist + h > D` and stops at `t`, on the scratch's
+//! buffers. Its `c*` and witness are exactly those of the full-Dijkstra
+//! bisection it replaced (`reference::threshold_search`).
+//!
+//! The witness is the interval kernel's first incumbent. The classic
+//! kernel keeps the cost `U` of the cheapest delay-feasible path in hand
+//! (the witness, then each passing shrink test's path) and skips every
+//! ε₀ = 1 shrink test at `c ≥ U`: `OPT ≤ U ≤ c` gives the optimal path a
+//! scaled cost ≤ n+1, so the test would pass, and the pass branch moves
+//! the bracket by `c` alone. Its `lb`/`ub` sequence and its answers are
+//! unchanged. Debug builds run each skipped test anyway and assert that it
+//! passes.
+//!
+//! Bracket arithmetic that can pass `i64::MAX` (`n·c*`, `4·lb`, `2·c`)
+//! saturates, and every scaled cost is computed in `i128`, so a graph with
+//! costs near `i64::MAX` gets a correct answer, not a wrapped bracket.
 
 use crate::cancel::CancelToken;
-use crate::dijkstra::dijkstra;
 use krsp_failpoint::fail_point;
 use krsp_graph::{DiGraph, EdgeId, NodeId};
 use std::cmp::Reverse;
@@ -222,14 +245,34 @@ struct Sweep {
     swept: usize,
 }
 
+/// The buffers of the FPTAS kernels' threshold search ([`threshold_search`]).
+#[derive(Default)]
+struct Search {
+    /// Min delay from each node to `t` over all edges; `UNREACHED` where
+    /// it exceeds the delay bound.
+    h: Vec<i64>,
+    /// The edge leaving each node on its min-delay path to `t`.
+    succ: Vec<u32>,
+    /// Delay from `s` in the current forward search.
+    dist: Vec<i64>,
+    /// Parent edge in the current forward search.
+    pred: Vec<u32>,
+    /// The heap every search of a run reuses.
+    heap: BinaryHeap<Reverse<(i64, u32)>>,
+    /// The thresholds left to bisect: distinct edge costs below a known
+    /// feasible threshold.
+    costs: Vec<i64>,
+}
+
 /// Caller-owned scratch arena for the budgeted DP.
 ///
-/// Holds the labels, the pending-candidate ring, the edge buckets and the
-/// zero-pass heap. Create one per solving context and thread it through
-/// repeated [`constrained_shortest_path_with`] / [`rsp_fptas_with`] calls:
-/// after warm-up, the kernel allocates nothing. A single scratch adapts to
-/// any graph/bound size (buffers grow monotonically, capacity is retained;
-/// see [`DpScratch::table_bytes`] for what that retains).
+/// Holds the labels, the pending-candidate ring, the edge buckets, the
+/// zero-pass heap and the threshold search's buffers. Create one per
+/// solving context and thread it through repeated
+/// [`constrained_shortest_path_with`] / [`rsp_fptas_with`] calls: after
+/// warm-up, the kernel allocates nothing. A single scratch adapts to any
+/// graph/bound size (buffers grow monotonically, capacity is retained; see
+/// [`DpScratch::table_bytes`] for what that retains).
 #[derive(Default)]
 pub struct DpScratch {
     /// This scratch's own buckets (single-query path).
@@ -240,6 +283,8 @@ pub struct DpScratch {
     eobj: Vec<i64>,
     /// The last run's labels and working buffers.
     sweep: Sweep,
+    /// The threshold search's buffers.
+    search: Search,
     /// Cooperative-cancellation token polled between DP levels. Defaults
     /// to [`CancelToken::never`]; riding in the scratch keeps the hot-path
     /// signatures stable.
@@ -266,23 +311,29 @@ impl DpScratch {
     }
 
     /// Bytes of capacity the arena retains: labels, the candidate ring,
-    /// the edge buckets and the per-node and per-edge buffers. Labels grow
-    /// with the most value drops any run has made and the ring with the
-    /// largest budget bound, so a long-lived arena can use this to drop
-    /// buffers one outsized solve left behind.
+    /// the edge buckets, the per-node and per-edge buffers and both heaps.
+    /// Labels grow with the most value drops any run has made and the ring
+    /// with the largest budget bound, so a long-lived arena can use this to
+    /// drop buffers one outsized solve left behind.
     #[must_use]
     pub fn table_bytes(&self) -> usize {
-        let sw = &self.sweep;
+        let (sw, se) = (&self.sweep, &self.search);
         let ring = sw.ring.capacity() * std::mem::size_of::<Vec<Cand>>()
             + sw.ring.iter().map(Vec::capacity).sum::<usize>() * std::mem::size_of::<Cand>();
         sw.labels.capacity() * std::mem::size_of::<Label>()
             + ring
             + self.buckets.bytes()
-            + (self.ebud.capacity() + self.eobj.capacity() + sw.cur.capacity())
+            + (self.ebud.capacity()
+                + self.eobj.capacity()
+                + sw.cur.capacity()
+                + se.h.capacity()
+                + se.dist.capacity()
+                + se.costs.capacity())
                 * std::mem::size_of::<i64>()
-            + (sw.head.capacity() + sw.fresh.capacity()) * std::mem::size_of::<u32>()
+            + (sw.head.capacity() + sw.fresh.capacity() + se.succ.capacity() + se.pred.capacity())
+                * std::mem::size_of::<u32>()
             + sw.settled.capacity() * std::mem::size_of::<u64>()
-            + sw.heap.capacity() * std::mem::size_of::<Reverse<(i64, u32)>>()
+            + (sw.heap.capacity() + se.heap.capacity()) * std::mem::size_of::<Reverse<(i64, u32)>>()
     }
 
     #[inline]
@@ -988,6 +1039,169 @@ pub fn constrained_shortest_paths_digested(
     out
 }
 
+impl Search {
+    /// Min-delay search from `t` over reversed edges: fills `h` and `succ`.
+    /// A node whose every path to `t` is slower than `bound` keeps
+    /// `h = UNREACHED`: no path within the bound passes through it.
+    fn reverse(&mut self, graph: &DiGraph, t: NodeId, bound: i64) {
+        let n = graph.node_count();
+        self.h.clear();
+        self.h.resize(n, UNREACHED);
+        self.succ.clear();
+        self.succ.resize(n, NO_PARENT);
+        self.heap.clear();
+        self.h[t.index()] = 0;
+        self.heap.push(Reverse((0, t.0)));
+        while let Some(Reverse((dv, v))) = self.heap.pop() {
+            if dv != self.h[v as usize] {
+                continue;
+            }
+            for &e in graph.in_edges(NodeId(v)) {
+                let r = graph.edge(e);
+                let cand = dv.saturating_add(r.delay);
+                if cand < self.h[r.src.index()] && cand <= bound {
+                    self.h[r.src.index()] = cand;
+                    self.succ[r.src.index()] = e.0;
+                    self.heap.push(Reverse((cand, r.src.0)));
+                }
+            }
+        }
+    }
+
+    /// One forward search from `s` over the edges of cost ≤ `theta`, pruned
+    /// to the nodes that can still reach `t` within `bound`
+    /// (`dist + h ≤ bound`; [`Search::reverse`] must have run). Returns
+    /// whether `t` is reachable within `bound`.
+    ///
+    /// A probe (`witness = false`) pops by `dist + h` and answers at the
+    /// first arrival at `t`. The witness search pops by `(dist, node)`, the
+    /// order of a full Dijkstra, and stops once `t` is settled, leaving the
+    /// full Dijkstra's path to `t` in `pred` (see [`threshold_search`]).
+    fn forward(
+        &mut self,
+        graph: &DiGraph,
+        s: NodeId,
+        t: NodeId,
+        bound: i64,
+        theta: i64,
+        witness: bool,
+    ) -> bool {
+        let n = graph.node_count();
+        self.dist.clear();
+        self.dist.resize(n, UNREACHED);
+        self.pred.clear();
+        self.pred.resize(n, NO_PARENT);
+        self.heap.clear();
+        // Every key pushed has `dist + h ≤ bound`, so it cannot overflow.
+        let key = |dist: i64, h: i64| if witness { dist } else { dist + h };
+        self.dist[s.index()] = 0;
+        self.heap.push(Reverse((key(0, self.h[s.index()]), s.0)));
+        while let Some(Reverse((k, u))) = self.heap.pop() {
+            let du = self.dist[u as usize];
+            if k != key(du, self.h[u as usize]) {
+                continue;
+            }
+            if u == t.0 {
+                return true;
+            }
+            for &e in graph.out_edges(NodeId(u)) {
+                let r = graph.edge(e);
+                let v = r.dst.index();
+                let (cand, hv) = (du.saturating_add(r.delay), self.h[v]);
+                if r.cost > theta
+                    || cand >= self.dist[v]
+                    || hv == UNREACHED
+                    || cand.saturating_add(hv) > bound
+                {
+                    continue;
+                }
+                if !witness && v == t.index() {
+                    return true;
+                }
+                self.dist[v] = cand;
+                self.pred[v] = e.0;
+                self.heap.push(Reverse((key(cand, hv), r.dst.0)));
+            }
+        }
+        false
+    }
+
+    /// The last witness search's path to `t`, walked back along `pred`.
+    fn path(&self, graph: &DiGraph, s: NodeId, t: NodeId) -> Vec<EdgeId> {
+        let mut edges = Vec::new();
+        let mut v = t;
+        while v != s {
+            let e = EdgeId(self.pred[v.index()]);
+            edges.push(e);
+            v = graph.edge(e).src;
+        }
+        edges.reverse();
+        edges
+    }
+}
+
+/// Phase A of both FPTAS kernels: the smallest edge cost `c*` such that
+/// the edges of cost ≤ `c*` hold an `s→t` path of delay at most
+/// `delay_bound`, and the min-delay path among them, the *witness*. An
+/// optimal path is simple and has an edge of cost ≥ `c*`, so
+/// `c* ≤ OPT ≤ cost(witness) ≤ (n−1)·c*`. `None` when no path meets the
+/// bound.
+///
+/// One reverse min-delay search from `t` over every edge gives `h(v)`, a
+/// consistent lower bound on the delay from `v` to `t` in every threshold
+/// subgraph: the instance is feasible iff `h(s) ≤ D`, and the costliest
+/// edge of the min-delay path it finds is a feasible threshold, so only
+/// the distinct costs below it are bisected. Each probe skips the edges
+/// above its threshold, prunes every node with `dist + h > D` and answers
+/// at the first arrival at `t`. The witness search at `c*` pops in the
+/// `(dist, node)` order of a full Dijkstra with the same pruning, and
+/// stops once `t` is settled. It returns exactly the full Dijkstra's path
+/// (`reference::threshold_search`): a node on that path, or a tail that
+/// reaches one at its distance, has `dist + h ≤ dist(t) ≤ D`, so no pruned
+/// node decides a parent there, and pruning does not reorder the nodes it
+/// keeps.
+///
+/// All buffers live in the scratch; every sum saturates.
+#[must_use]
+pub fn threshold_search(
+    graph: &DiGraph,
+    s: NodeId,
+    t: NodeId,
+    delay_bound: i64,
+    scratch: &mut DpScratch,
+) -> Option<(i64, CspPath)> {
+    let se = &mut scratch.search;
+    se.reverse(graph, t, delay_bound);
+    if se.h[s.index()] == UNREACHED {
+        return None;
+    }
+    let mut top = 0;
+    let mut v = s;
+    while v != t {
+        let r = graph.edge(EdgeId(se.succ[v.index()]));
+        top = top.max(r.cost);
+        v = r.dst;
+    }
+    se.costs.clear();
+    let below = graph.edges().iter().map(|e| e.cost).filter(|&c| c < top);
+    se.costs.extend(below.chain([0, top]));
+    se.costs.sort_unstable();
+    se.costs.dedup();
+    let (mut lo, mut hi) = (0, se.costs.len() - 1);
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        if se.forward(graph, s, t, delay_bound, se.costs[mid], false) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    let cstar = se.costs[lo];
+    let found = se.forward(graph, s, t, delay_bound, cstar, true);
+    debug_assert!(found, "c* is feasible by construction");
+    Some((cstar, CspPath::from_edges(graph, se.path(graph, s, t))))
+}
+
 /// Integer geometric mean `⌊√(lb·ub)⌋`, clamped into `[lb, ub]`.
 ///
 /// Computed with an exact `u128` integer square root: the `f64` route
@@ -1028,8 +1242,8 @@ pub fn rsp_fptas(
     )
 }
 
-/// [`rsp_fptas`] over a caller-owned scratch arena: every DP probe of the
-/// geometric bisection reuses the same buffers.
+/// [`rsp_fptas`] over a caller-owned scratch arena: the threshold search
+/// and every DP probe of the geometric bisection reuse the same buffers.
 #[must_use]
 pub fn rsp_fptas_with(
     graph: &DiGraph,
@@ -1044,83 +1258,42 @@ pub fn rsp_fptas_with(
     assert!(delay_bound >= 0);
     let n = graph.node_count() as i64;
 
-    // Feasibility + bottleneck bounds: the smallest edge-cost threshold c*
-    // whose subgraph contains a delay-feasible path gives OPT ∈ [c*, n·c*].
-    // "Removed" edges get a finite sentinel weight strictly larger than any
-    // real path delay *and* the budget, so they cannot appear on a path
-    // that passes the budget check and sums cannot overflow.
-    let sentinel = graph.total_delay().max(delay_bound).saturating_add(1);
-    let min_delay_using = |threshold: i64| -> bool {
-        let (dist, _) = dijkstra(graph, s, |e| {
-            if graph.edge(e).cost <= threshold {
-                graph.edge(e).delay
-            } else {
-                sentinel
-            }
-        });
-        matches!(dist[t.index()], Some(d) if d <= delay_bound)
-    };
-    let mut costs: Vec<i64> = graph.edges().iter().map(|e| e.cost).collect();
-    costs.push(0);
-    costs.sort_unstable();
-    costs.dedup();
-    if !min_delay_using(*costs.last().unwrap()) {
-        return None; // no delay-feasible path at all
-    }
-    // Binary search the threshold list.
-    let mut lo = 0usize;
-    let mut hi = costs.len() - 1;
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        if min_delay_using(costs[mid]) {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    let cstar = costs[lo];
+    // Feasibility + bottleneck bounds: OPT ∈ [c*, n·c*].
+    let (cstar, witness) = threshold_search(graph, s, t, delay_bound, scratch)?;
     if cstar == 0 {
-        // A zero-cost feasible path exists: it is optimal; extract it via
-        // the exact min-delay path over zero-cost edges.
-        let (dist, pred) = dijkstra(graph, s, |e| {
-            if graph.edge(e).cost == 0 {
-                graph.edge(e).delay
-            } else {
-                sentinel
-            }
-        });
-        let edges = crate::dijkstra::path_to(graph, &dist, &pred, t)?;
-        let p = CspPath::from_edges(graph, edges);
-        debug_assert_eq!(p.cost, 0);
-        return Some(p);
+        // A zero-cost feasible path exists: the witness, which is optimal.
+        debug_assert_eq!(witness.cost, 0);
+        return Some(witness);
     }
-    let mut lb = cstar; // OPT ≥ lb
-    let mut ub = n * cstar; // a feasible path of cost ≤ ub exists
+    // OPT ≥ lb, and a feasible path of cost ≤ ub exists: the witness costs
+    // at most n·c* and is an `i64`, so saturating keeps that true.
+    let mut lb = cstar;
+    let mut ub = n.saturating_mul(cstar);
+    // The cost of the cheapest delay-feasible path in hand.
+    let mut known = witness.cost;
 
     // Scaled test: does a delay-feasible path of cost ≤ c(1+ε0) exist?
     // (pass ⇒ such a path is produced; fail ⇒ OPT > c). ε0 = 1 here.
     // Takes the scratch explicitly so every probe reuses one arena. The
     // sweep stops at the lowest delay-feasible level, the one a full
     // sweep's bottom-up scan would pick.
-    let test = |scratch: &mut DpScratch, c: i64| -> Option<CspPath> {
+    let test = |scratch: &mut DpScratch, c: i64| -> SweepOutcome {
         // θ = c / (n+1); scaled cost c'(e) = floor(c(e)/θ); budget n+1.
         // For any ≤n-edge path: c(P)/θ − n ≤ c'(P) ≤ c(P)/θ.
-        let theta_num = c;
-        let theta_den = n + 1;
-        let scaled = |e: EdgeId| -> i64 { graph.edge(e).cost * theta_den / theta_num };
         let budget = (n + 1) as usize; // floor(c/θ) = n+1
-        let SweepOutcome::Found(b) = budget_dp(
+        let scaled = |e: EdgeId| -> i64 {
+            (i128::from(graph.edge(e).cost) * i128::from(n + 1) / i128::from(c))
+                .min(budget as i128 + 1) as i64
+        };
+        budget_dp(
             scratch,
             graph,
             s,
             budget,
-            |e| scaled(e).min(budget as i64 + 1),
+            scaled,
             |e| graph.edge(e).delay,
             reaches(t, delay_bound),
-        ) else {
-            return None;
-        };
-        Some(CspPath::from_edges(graph, recover(scratch, graph, s, t, b)))
+        )
     };
 
     // Geometric shrink until ub ≤ 4·lb. The test at the integer geometric
@@ -1128,22 +1301,40 @@ pub fn rsp_fptas_with(
     // feasible path of cost ≤ 2c (pass ⇒ ub := 2c, using ε₀ = 1). While
     // ub > 4·lb, `2·⌊√(lb·ub)⌋ < ub`, so both branches strictly shrink the
     // bracket and the loop terminates in O(log log(ub/lb)) tests.
-    while ub > 4 * lb {
-        // A cancelled shrink probe returns None, which is indistinguishable
-        // from "OPT > c" — check the token explicitly so cancellation never
+    //
+    // A test at `c ≥ known` must pass (OPT ≤ known ≤ c, so an optimal path
+    // has scaled cost ≤ n+1), so it takes the pass branch without running
+    // its DP: the bracket moves exactly as if it had run.
+    while lb.saturating_mul(4) < ub {
+        // A cancelled shrink probe fails, which is indistinguishable from
+        // "OPT > c" — check the token explicitly so cancellation never
         // misnarrows the bracket.
         if scratch.cancel.is_cancelled() {
             return None;
         }
         let c = geometric_midpoint(lb, ub);
-        match test(scratch, c) {
-            Some(p) => {
-                debug_assert!(p.cost <= 2 * c, "test contract: cost ≤ (1+ε₀)·c");
-                ub = ub.min((2 * c).max(lb));
-            }
-            None => {
-                lb = c + 1;
-            }
+        let passes = if c >= known {
+            debug_assert_ne!(
+                test(scratch, c),
+                SweepOutcome::Exhausted,
+                "a path of cost ≤ c is in hand, so the test at c passes"
+            );
+            true
+        } else if let SweepOutcome::Found(b) = test(scratch, c) {
+            let p = CspPath::from_edges(graph, recover(scratch, graph, s, t, b));
+            debug_assert!(
+                i128::from(p.cost) <= 2 * i128::from(c),
+                "test contract: cost ≤ (1+ε₀)·c"
+            );
+            known = known.min(p.cost);
+            true
+        } else {
+            false
+        };
+        if passes {
+            ub = ub.min(c.saturating_mul(2).max(lb));
+        } else {
+            lb = c + 1;
         }
         debug_assert!(lb <= ub);
     }
@@ -1152,18 +1343,19 @@ pub fn rsp_fptas_with(
     // lowest delay-feasible level.
     // scaled(e) = floor(c(e)/θ) = floor(c(e)·(n+1)·eps_den / (lb·eps_num)).
     let denom = lb as i128 * eps_num as i128;
-    let scaled = |e: EdgeId| -> i64 {
-        ((graph.edge(e).cost as i128 * (n as i128 + 1) * eps_den as i128) / denom) as i64
-    };
     // Budget: c'(P*) ≤ OPT/θ ≤ ub·(n+1)·eps_den/(lb·eps_num) (+ slack n).
     let budget = ((ub as i128 * (n as i128 + 1) * eps_den as i128) / denom + n as i128 + 1)
         .min(i128::from(u32::MAX)) as usize;
+    let scaled = |e: EdgeId| -> i64 {
+        ((graph.edge(e).cost as i128 * (n as i128 + 1) * eps_den as i128) / denom)
+            .min(budget as i128 + 1) as i64
+    };
     let SweepOutcome::Found(b) = budget_dp(
         scratch,
         graph,
         s,
         budget,
-        |e| scaled(e).min(budget as i64 + 1),
+        scaled,
         |e| graph.edge(e).delay,
         reaches(t, delay_bound),
     ) else {
@@ -1237,46 +1429,14 @@ pub fn rsp_fptas_interval_with(
     assert!(delay_bound >= 0);
     let n = graph.node_count() as i64;
 
-    // Phase A — feasibility + bottleneck bracket, as in the classic scheme,
-    // except the threshold Dijkstra's witness path is materialized: it is
-    // the first incumbent, so `ub` starts at a real path cost (≤ n·c*).
-    let sentinel = graph.total_delay().max(delay_bound).saturating_add(1);
-    let min_delay_path_using = |threshold: i64| -> Option<Vec<EdgeId>> {
-        let (dist, pred) = dijkstra(graph, s, |e| {
-            if graph.edge(e).cost <= threshold {
-                graph.edge(e).delay
-            } else {
-                sentinel
-            }
-        });
-        match dist[t.index()] {
-            Some(d) if d <= delay_bound => crate::dijkstra::path_to(graph, &dist, &pred, t),
-            _ => None,
-        }
-    };
-    let mut costs: Vec<i64> = graph.edges().iter().map(|e| e.cost).collect();
-    costs.push(0);
-    costs.sort_unstable();
-    costs.dedup();
-    min_delay_path_using(*costs.last().unwrap())?;
-    let mut lo = 0usize;
-    let mut hi = costs.len() - 1;
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        if min_delay_path_using(costs[mid]).is_some() {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    let cstar = costs[lo];
-    let witness = min_delay_path_using(cstar).expect("threshold c* is feasible by construction");
-    let mut incumbent = CspPath::from_edges(graph, witness);
+    // Phase A — feasibility + bottleneck bracket, as in the classic scheme;
+    // the threshold search's witness is the first incumbent, so `ub` starts
+    // at a real path cost (≤ n·c*).
+    let (cstar, mut incumbent) = threshold_search(graph, s, t, delay_bound, scratch)?;
     debug_assert!(incumbent.delay <= delay_bound);
     if cstar == 0 {
         // A zero-cost feasible path exists; the witness is exactly the
-        // min-delay path over cost-0 edges (edges above the threshold carry
-        // the sentinel weight), hence optimal.
+        // min-delay path over cost-0 edges, hence optimal.
         debug_assert_eq!(incumbent.cost, 0);
         return Some(incumbent);
     }
@@ -1345,7 +1505,7 @@ pub fn rsp_fptas_interval_with(
     // Phase B — ε₀ = 1 geometric shrink until ub ≤ 4·lb, exactly as the
     // classic scheme, but each pass tightens ub to the witness path's
     // actual cost (≤ 2c), which can only shrink the bracket faster.
-    while ub > 4 * lb {
+    while lb.saturating_mul(4) < ub {
         if scratch.cancel.is_cancelled() {
             return None;
         }
@@ -1490,7 +1650,9 @@ mod tests {
         // must re-dimension correctly and answers must match fresh-scratch
         // runs. ε = 1 FPTAS runs stop their sweeps early, and the full
         // exact sweeps after them must not read the labels or the pending
-        // candidates left behind.
+        // candidates left behind. The threshold search's per-node buffers
+        // change shape with every graph, and an infeasible bound leaves
+        // them after the reverse search alone.
         let g1 = tradeoff_graph();
         let g2 = DiGraph::from_edges(6, &[(0, 1, 2, 3), (1, 5, 2, 3), (0, 5, 9, 1)]);
         let hops: Vec<_> = (0..9u32)
@@ -1505,6 +1667,10 @@ mod tests {
                     let fresh = constrained_shortest_path(g, NodeId(0), t, d);
                     let reused = constrained_shortest_path_with(g, NodeId(0), t, d, &mut scratch);
                     assert_eq!(fresh, reused, "exact d={d}");
+                    let fresh = threshold_search(g, NodeId(0), t, d, &mut DpScratch::new());
+                    let reused = threshold_search(g, NodeId(0), t, d, &mut scratch);
+                    assert_eq!(fresh, reused, "threshold search d={d}");
+                    assert_eq!(scratch.search.h.len(), g.node_count());
                     for (num, den) in [(1, 2), (1, 1)] {
                         let fresh = rsp_fptas(g, NodeId(0), t, d, num, den);
                         // Zeroed so a call that runs no sweep cannot count.
@@ -1752,6 +1918,41 @@ mod tests {
     }
 
     #[test]
+    fn fptas_brackets_past_i64_answer_exactly() {
+        // D = 2 leaves one path within the bound, s→a→t at cost 2⁶² + 1:
+        // c* = 2⁶² puts n·c* and 4·lb past i64::MAX, at n = 3 and padded
+        // with isolated nodes to n = 240. In the third graph c* = 2⁴⁰ keeps
+        // the bracket in range, but the classic shrink test at c ≈ 15.5·2⁴⁰
+        // scales the 2⁶² edge by n + 1 = 241. Wrapped, the classic kernel
+        // called the first graph infeasible and the interval kernel's
+        // shrink loop never ended.
+        let (big, mid) = (1i64 << 62, 1i64 << 40);
+        let dear = [(0, 1, big, 1), (1, 2, 1, 1), (0, 2, 1, 5)];
+        for (g, cost) in [
+            (DiGraph::from_edges(3, &dear), big + 1),
+            (DiGraph::from_edges(240, &dear), big + 1),
+            (
+                DiGraph::from_edges(240, &[(0, 1, mid, 1), (1, 2, 1, 1), (0, 2, big, 1)]),
+                mid + 1,
+            ),
+        ] {
+            let (s, t) = (NodeId(0), NodeId(2));
+            let exact = constrained_shortest_path(&g, s, t, 2).unwrap();
+            assert_eq!((exact.cost, exact.delay), (cost, 2));
+            for (num, den) in [(1, 1), (1, 2), (1, 8)] {
+                let n = g.node_count();
+                assert_eq!(
+                    rsp_fptas(&g, s, t, 2, num, den),
+                    Some(exact.clone()),
+                    "n={n}"
+                );
+                let interval = rsp_fptas_interval(&g, s, t, 2, num, den);
+                assert_eq!(interval, Some(exact.clone()), "n={n}");
+            }
+        }
+    }
+
+    #[test]
     fn geometric_midpoint_is_exact_near_i64_max() {
         // lb·ub ≫ 2^53: the old f64 path rounded √(lb·ub) up past the true
         // floor (for lb = ub = i64::MAX it saturates to i64::MAX only by
@@ -1784,29 +1985,28 @@ mod tests {
     }
 
     /// A generator-family graph, optionally rebuilt with every
-    /// `zero_stride`-th edge's delay zeroed, as `tests/kernels.rs` does: the
-    /// zero-budget pass is the trickiest part of the sweep.
+    /// `zero_stride`-th edge's delay zeroed, as `tests/kernels.rs` does (the
+    /// zero-budget pass is the trickiest part of the sweep), and every
+    /// `zero_cost_stride`-th edge's cost zeroed (a zero threshold).
     fn family_graph(
         family: Family,
         n: usize,
         regime: Regime,
         seed: u64,
-        zero_stride: usize,
+        (zero_stride, zero_cost_stride): (usize, usize),
     ) -> DiGraph {
         let g = family.sample(n, n * 4, regime, &mut ChaCha20Rng::seed_from_u64(seed));
-        if zero_stride == 0 {
-            return g;
-        }
-        let mut rebuilt = DiGraph::new(g.node_count());
-        for (id, e) in g.edge_iter() {
-            let delay = if id.index() % zero_stride == 0 {
-                0
-            } else {
-                e.delay
-            };
-            rebuilt.add_edge(e.src, e.dst, e.cost, delay);
-        }
-        rebuilt
+        // `map_weights` visits the edges in id order.
+        let mut id = 0;
+        g.map_weights(|cost, delay| {
+            let hits = |stride: usize| stride > 0 && id % stride == 0;
+            let out = (
+                if hits(zero_cost_stride) { 0 } else { cost },
+                if hits(zero_stride) { 0 } else { delay },
+            );
+            id += 1;
+            out
+        })
     }
 
     fn arb_graph() -> impl Strategy<Value = (DiGraph, i64)> {
@@ -1839,7 +2039,7 @@ mod tests {
         ) {
             let family = [Family::Gnm, Family::Grid, Family::Layered, Family::Geometric, Family::ScaleFree][fam_ix];
             let regime = [Regime::Uniform, Regime::Correlated, Regime::Anticorrelated][reg_ix];
-            let g = family_graph(family, n, regime, seed, zero_stride);
+            let g = family_graph(family, n, regime, seed, (zero_stride, 0));
             let (s, _) = family.terminals(g.node_count());
             type Weight = fn(EdgeRef) -> i64;
             let (budget, objective): (Weight, Weight) = if budget_is_cost == 1 {
@@ -1880,6 +2080,58 @@ mod tests {
                             "{:?} seed {} level {} node {}", family, seed, b, v.index()
                         );
                     }
+                }
+            }
+        }
+
+        /// The threshold search against the full-Dijkstra oracle: the same
+        /// `c*` and witness, the same probe verdict at every threshold, and
+        /// edge for edge the same witness at every threshold ≥ `c*`. Graphs
+        /// get zero-cost and zero-delay strides, parallel edges (copies and
+        /// weight-swapped copies), and targets that are a random node (at
+        /// times `s`) or unreachable; bounds run from one below the
+        /// minimum delay up.
+        #[test]
+        fn prop_threshold_search_matches_reference(
+            fam_ix in 0usize..5,
+            reg_ix in 0usize..3,
+            n in 8usize..28,
+            seed in 0u64..1_000_000,
+            strides in (0usize..4, 0usize..4),
+            parallel_stride in 0usize..4,
+            target in 0u8..3,
+            slack in -1i64..30,
+        ) {
+            let family = [Family::Gnm, Family::Grid, Family::Layered, Family::Geometric, Family::ScaleFree][fam_ix];
+            let regime = [Regime::Uniform, Regime::Correlated, Regime::Anticorrelated][reg_ix];
+            let mut g = family_graph(family, n, regime, seed, strides);
+            if parallel_stride > 0 {
+                for (id, e) in g.clone().edge_iter().step_by(parallel_stride) {
+                    let (cost, delay) = if id.index() % 2 == 0 { (e.cost, e.delay) } else { (e.delay, e.cost) };
+                    g.add_edge(e.src, e.dst, cost, delay);
+                }
+            }
+            let (s, t) = family.terminals(g.node_count());
+            let t = match target {
+                0 => t,
+                1 => NodeId((seed % g.node_count() as u64) as u32),
+                _ => g.add_node(),
+            };
+            let (dist, _) = crate::dijkstra::dijkstra(&g, s, |e| g.edge(e).delay);
+            let d = (dist[t.index()].unwrap_or(0) + slack).max(0);
+            let mut scratch = DpScratch::new();
+            let got = threshold_search(&g, s, t, d, &mut scratch);
+            prop_assert_eq!(&got, &crate::reference::threshold_search(&g, s, t, d));
+            let mut costs: Vec<i64> = g.edges().iter().map(|e| e.cost).chain([0]).collect();
+            costs.sort_unstable();
+            costs.dedup();
+            for theta in costs {
+                let want = crate::reference::threshold_witness(&g, s, t, d, theta);
+                let se = &mut scratch.search;
+                prop_assert_eq!(se.forward(&g, s, t, d, theta, false), want.is_some(), "probe at {}", theta);
+                if got.as_ref().is_some_and(|&(cstar, _)| theta >= cstar) {
+                    prop_assert!(se.forward(&g, s, t, d, theta, true));
+                    prop_assert_eq!(Some(se.path(&g, s, t)), want, "witness at {}", theta);
                 }
             }
         }

@@ -13,10 +13,13 @@
 //!   so the final scaled DP runs over an `(1+o(1))`-narrow budget window
 //!   instead of the classic fixed `4·lb` range.
 //!
-//! Both share one DP sweep that stops at the first delay-feasible budget
-//! level (every shrink test, interval test and final DP), so neither
-//! computes the levels above its answer; the classic scheme just starts
-//! its final DP from a wider bracket.
+//! Both open with the same threshold search ([`crate::csp::threshold_search`]:
+//! one reverse min-delay search, pruned probes and one witness search on the
+//! scratch's buffers), and both share one DP sweep that stops at the first
+//! delay-feasible budget level (every shrink test, interval test and final
+//! DP), so neither computes the levels above its answer. The classic scheme
+//! skips every shrink test that the cheapest path in hand already passes,
+//! and starts its final DP from a wider bracket.
 //!
 //! Both give the same `(1+ε)` guarantee but generally different paths, so
 //! differential testing across kernels asserts *guarantees* (delay ≤ D,

@@ -1,10 +1,14 @@
 //! Pre-rewrite kernels, kept verbatim as oracles.
 //!
-//! This module preserves three implementations exactly as they stood before
+//! This module preserves four implementations exactly as they stood before
 //! their rewrites:
 //!
 //! * the original 2-D `Option`-table budgeted DP and the FPTAS built on it,
 //!   from before the flat and then sparse rewrites in [`crate::csp`];
+//! * that FPTAS's threshold search (`threshold_search`): a full Dijkstra
+//!   with sentinel weights per threshold, over every distinct edge cost,
+//!   from before [`crate::csp::threshold_search`] pruned and reused one
+//!   scratch;
 //! * the textbook Bellman–Ford engine, which runs all n rounds and only
 //!   then walks back from the last node relaxed, from before
 //!   [`crate::bellman_ford`](mod@crate::bellman_ford) learned to stop at
@@ -17,7 +21,8 @@
 //!
 //! 1. **Oracle testing** — the property suites pin the rewrites to these
 //!    implementations: identical values, identical tie-breaking, identical
-//!    recovered paths on random instances for the DP; the same cycle
+//!    recovered paths on random instances for the DP; the same `c*` and
+//!    witness path for the threshold search; the same cycle
 //!    verdict, and identical `dist`/`pred` when there is no cycle, for
 //!    Bellman–Ford; the same optimal total weight for the min-cost flow.
 //! 2. **A/B benchmarking** — `BENCH_kernels.json` tracks the speedup of
@@ -161,6 +166,63 @@ pub fn constrained_shortest_path(
     Some(p)
 }
 
+/// The original threshold Dijkstra: the min-delay `s→t` path over the
+/// edges of cost ≤ `threshold`, found by a full Dijkstra that gives every
+/// other edge a sentinel weight above any real path delay and the bound;
+/// `None` when its delay exceeds `delay_bound`.
+#[must_use]
+pub(crate) fn threshold_witness(
+    graph: &DiGraph,
+    s: NodeId,
+    t: NodeId,
+    delay_bound: i64,
+    threshold: i64,
+) -> Option<Vec<EdgeId>> {
+    let sentinel = graph.total_delay().max(delay_bound).saturating_add(1);
+    let (dist, pred) = dijkstra(graph, s, |e| {
+        if graph.edge(e).cost <= threshold {
+            graph.edge(e).delay
+        } else {
+            sentinel
+        }
+    });
+    match dist[t.index()] {
+        Some(d) if d <= delay_bound => crate::dijkstra::path_to(graph, &dist, &pred, t),
+        _ => None,
+    }
+}
+
+/// The original threshold search: a full threshold Dijkstra at the
+/// largest edge cost, a binary search over every distinct edge cost (and
+/// 0) for the smallest feasible threshold `c*`, and the threshold
+/// Dijkstra's path at `c*`. `None` when no path meets the bound.
+#[must_use]
+pub fn threshold_search(
+    graph: &DiGraph,
+    s: NodeId,
+    t: NodeId,
+    delay_bound: i64,
+) -> Option<(i64, CspPath)> {
+    let feasible = |threshold: i64| threshold_witness(graph, s, t, delay_bound, threshold);
+    let mut costs: Vec<i64> = graph.edges().iter().map(|e| e.cost).collect();
+    costs.push(0);
+    costs.sort_unstable();
+    costs.dedup();
+    feasible(*costs.last().unwrap())?;
+    let mut lo = 0usize;
+    let mut hi = costs.len() - 1;
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        if feasible(costs[mid]).is_some() {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    let witness = feasible(costs[lo]).expect("threshold c* is feasible by construction");
+    Some((costs[lo], CspPath::from_edges(graph, witness)))
+}
+
 /// The original Lorenz–Raz FPTAS driving the 2-D DP.
 #[must_use]
 pub fn rsp_fptas(
@@ -177,50 +239,12 @@ pub fn rsp_fptas(
 
     // Feasibility + bottleneck bounds: the smallest edge-cost threshold c*
     // whose subgraph contains a delay-feasible path gives OPT ∈ [c*, n·c*].
-    let sentinel = graph.total_delay().max(delay_bound).saturating_add(1);
-    let min_delay_using = |threshold: i64| -> bool {
-        let (dist, _) = dijkstra(graph, s, |e| {
-            if graph.edge(e).cost <= threshold {
-                graph.edge(e).delay
-            } else {
-                sentinel
-            }
-        });
-        matches!(dist[t.index()], Some(d) if d <= delay_bound)
-    };
-    let mut costs: Vec<i64> = graph.edges().iter().map(|e| e.cost).collect();
-    costs.push(0);
-    costs.sort_unstable();
-    costs.dedup();
-    if !min_delay_using(*costs.last().unwrap()) {
-        return None; // no delay-feasible path at all
-    }
-    // Binary search the threshold list.
-    let mut lo = 0usize;
-    let mut hi = costs.len() - 1;
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        if min_delay_using(costs[mid]) {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    let cstar = costs[lo];
+    let (cstar, witness) = threshold_search(graph, s, t, delay_bound)?;
     if cstar == 0 {
-        // A zero-cost feasible path exists: it is optimal; extract it via
-        // the exact min-delay path over zero-cost edges.
-        let (dist, pred) = dijkstra(graph, s, |e| {
-            if graph.edge(e).cost == 0 {
-                graph.edge(e).delay
-            } else {
-                sentinel
-            }
-        });
-        let edges = crate::dijkstra::path_to(graph, &dist, &pred, t)?;
-        let p = CspPath::from_edges(graph, edges);
-        debug_assert_eq!(p.cost, 0);
-        return Some(p);
+        // A zero-cost feasible path exists: the min-delay path over
+        // zero-cost edges is optimal.
+        debug_assert_eq!(witness.cost, 0);
+        return Some(witness);
     }
     let mut lb = cstar; // OPT ≥ lb
     let mut ub = n * cstar; // a feasible path of cost ≤ ub exists

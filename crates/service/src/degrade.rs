@@ -50,11 +50,11 @@ use std::cell::RefCell;
 use std::time::Duration;
 
 /// Capacity, in bytes, a worker's `k = 1` DP arena keeps between requests
-/// ([`DpScratch::table_bytes`]: labels, the candidate ring, edge buckets
-/// and per-node buffers). At ε = 1 a hundred `n = 240` gnm instances left
-/// about 0.3 MB, far below this, while one outsized instance's buffers are
-/// freed when its solve returns instead of staying pinned for the daemon's
-/// lifetime.
+/// ([`DpScratch::table_bytes`]: labels, the candidate ring, edge buckets,
+/// per-node buffers and the threshold search's). At ε = 1 a hundred
+/// `n = 240` gnm instances left about 0.3 MB, far below this, while one
+/// outsized instance's buffers are freed when its solve returns instead of
+/// staying pinned for the daemon's lifetime.
 const K1_ARENA_KEEP_BYTES: usize = 16 << 20;
 
 thread_local! {
@@ -666,6 +666,33 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, LadderError::Infeasible);
+    }
+
+    #[test]
+    fn k1_full_rung_answers_when_the_bracket_passes_i64() {
+        // Solves through `csp.dp`, which `k1_arena_survives_a_panicked_solve`
+        // arms.
+        let _fp = crate::sync_util::fp_lock();
+        // D = 2 leaves one path, 0→1→2 at cost 2⁶² + 1, and puts the
+        // FPTAS's n·c* and 4·lb past i64::MAX. Wrapped, the classic kernel
+        // answered "infeasible at every rung" and the interval kernel's
+        // shrink loop spun until the deadline.
+        let g = DiGraph::from_edges(3, &[(0, 1, 1 << 62, 1), (1, 2, 1, 1), (0, 2, 1, 5)]);
+        let inst = Instance::new(g, NodeId(0), NodeId(2), 1, 2).unwrap();
+        for kind in KERNEL_KINDS {
+            let out = solve_degraded_with(
+                &inst,
+                &Config::default(),
+                Duration::from_secs(60),
+                &LadderPolicy::default(),
+                &KernelLadder::uniform(kind),
+                &CancelToken::never(),
+            )
+            .unwrap();
+            assert_eq!(out.rung, Rung::Full, "{kind}");
+            let answer = (out.solution.cost, out.solution.delay);
+            assert_eq!(answer, ((1 << 62) + 1, 2), "{kind}");
+        }
     }
 
     fn gnm_k1(n: usize, seed: u64) -> Instance {

@@ -85,6 +85,10 @@ grep -q '"schema": "krsp-bench-kernels/v2"' "$smoke_out"
 # sparse ≡ reference held across the grid.
 grep -q '"bench": "budget_dp"' "$smoke_out"
 grep -q '"bench": "rsp_fptas"' "$smoke_out"
+# The threshold_search rows race the FPTAS's scratch threshold search against
+# the full-Dijkstra reference and assert in-binary that both returned the
+# same c* and the same witness path on every instance.
+grep -q '"bench": "threshold_search"' "$smoke_out"
 grep -q '"bench": "solve_batch"' "$smoke_out"
 grep -q '"variant": "classic"' "$smoke_out"
 grep -q '"variant": "interval"' "$smoke_out"
